@@ -29,6 +29,7 @@ from .levelset import (
     MESH_ERR_COEFF,
     _chunk_rng,
     _facet_geometry,
+    _map_chunks,
     _weight_values,
     default_shell_width,
     extract,
@@ -40,8 +41,6 @@ from .levelset import (
     weighted_area,
     weighted_area_error_bound,
 )
-
-_MC_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +231,8 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
     width = edges[1] - edges[0]
     vol = domain.volume()
 
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
-    sums = np.zeros(bins)
-    sums_sq = np.zeros(bins)
-    total_w = 0.0
-    for chunk in range(n_chunks):
-        size = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        pts = domain.sample(size, _chunk_rng(seed, chunk))
+    def run(rng, size):
+        pts = domain.sample(size, rng)
         vals = base.value(pts)
         if flavor == "sigma":
             w = np.ones(size)
@@ -246,13 +240,20 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
             w = base.grad_norm(pts) ** 2
             if flavor == "weighted":
                 w = w * field.weight_values(pts)
-        total_w += w.sum()
         idx = np.floor((vals - vmin) / width).astype(np.int64)
         np.clip(idx, 0, bins - 1, out=idx)
         in_range = (vals >= vmin) & (vals <= vmax)
         iw = np.where(in_range, w, 0.0)
-        sums += np.bincount(idx, weights=iw, minlength=bins)
-        sums_sq += np.bincount(idx, weights=iw * iw, minlength=bins)
+        hist = np.bincount(idx, weights=iw, minlength=bins)
+        return w.sum(), hist, np.bincount(idx, weights=iw * iw, minlength=bins)
+
+    sums = np.zeros(bins)
+    sums_sq = np.zeros(bins)
+    total_w = 0.0
+    for chunk_w, chunk_sums, chunk_sq in _map_chunks(run, n_samples, seed, workers):
+        total_w += chunk_w
+        sums += chunk_sums
+        sums_sq += chunk_sq
 
     mean = sums / n_samples
     var = np.maximum(sums_sq / n_samples - mean**2, 0.0)
@@ -679,12 +680,8 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
     area = 4.0 * math.pi
 
     n_samples = int(n_samples)
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
-    sums = np.zeros(len(eps_grid))
-    sums_sq = np.zeros(len(eps_grid))
-    for chunk in range(n_chunks):
-        size = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        rng = _chunk_rng(seed, chunk)
+
+    def run(rng, size):
         dirs = rng.standard_normal((size, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         p = P.value(dirs)
@@ -695,8 +692,13 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
         dens[positive] = (g2[positive] + k**2 * p[positive] ** 2) / p[positive] ** gamma
         # (size, E) indicator matrix is fine at chunk granularity
         terms = dens[:, None] * (p[:, None] >= eps_grid[None, :])
-        sums += terms.sum(axis=0)
-        sums_sq += (terms**2).sum(axis=0)
+        return terms.sum(axis=0), (terms**2).sum(axis=0)
+
+    sums = np.zeros(len(eps_grid))
+    sums_sq = np.zeros(len(eps_grid))
+    for chunk_sums, chunk_sq in _map_chunks(run, n_samples, seed):
+        sums += chunk_sums
+        sums_sq += chunk_sq
 
     mean = sums / n_samples
     var = np.maximum(sums_sq / n_samples - mean**2, 0.0)

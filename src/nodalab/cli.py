@@ -149,7 +149,7 @@ def _parse_count(text):
 def _config_dict(args, command):
     keys = (
         "preset", "field", "measure", "N", "bins", "h", "delta", "t", "t1", "t2",
-        "rgrid", "egrid", "seed", "workers", "plot",
+        "rgrid", "egrid", "seed", "plot",
     )
     cfg = {"command": command}
     for k in keys:

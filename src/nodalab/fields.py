@@ -147,6 +147,7 @@ class SparsePolynomial(ScalarField):
         self.terms = {e: c for e, c in sorted(clean.items()) if c != 0}
         self._cache = None
         self._grads = None
+        self._hess = None
 
     # -- constructors -------------------------------------------------------
 
@@ -277,16 +278,21 @@ class SparsePolynomial(ScalarField):
         out = np.stack([g.value(pts) for g in self._gradient_polys()], axis=-1)
         return out[0] if single else out
 
+    def _hessian_polys(self):
+        if self._hess is None:
+            grads = self._gradient_polys()
+            n = self.dimension
+            self._hess = {(i, j): grads[i].diff(j) for i in range(n) for j in range(i, n)}
+        return self._hess
+
     def hessian(self, x):
         pts, single = _as_points(x, self.dimension)
         n = self.dimension
-        grads = self._gradient_polys()
         out = np.empty((len(pts), n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = grads[i].diff(j).value(pts)
-                out[:, i, j] = v
-                out[:, j, i] = v
+        for (i, j), poly in self._hessian_polys().items():
+            v = poly.value(pts)
+            out[:, i, j] = v
+            out[:, j, i] = v
         return out[0] if single else out
 
     def __repr__(self):

@@ -1,14 +1,16 @@
 """Level-set extraction and weighted (n-1)-dimensional quadrature.
 
-Meshes for {f = t} are built on a uniform grid by simplicial marching
-(triangles in 2D, Kuhn-split tetrahedra in 3D) with vertices refined by
-bisection of f - t along crossing edges.  Domain clipping uses recursive
-facet subdivision and centroid classification, an O(h) geometric error
-model.  A coarea thin-shell Monte Carlo estimator covers any dimension.
+Meshes for {f = t} are built on a uniform grid by one Kuhn-simplex
+marcher for 2D and 3D: each cell splits into the n! simplices of the axis
+permutations, and each distinct crossing grid edge is bisected once and
+shared by the facets that meet it.  Domain clipping uses recursive facet
+subdivision and centroid classification, an O(h) geometric error model.
+A coarea thin-shell Monte Carlo estimator covers any dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -162,22 +164,30 @@ def _chunk_rng(seed, chunk):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, chunk]))
 
 
+def _map_chunks(fn, n_samples, seed, workers=1):
+    """[fn(rng, size) for each chunk of n_samples], in chunk order.
+
+    Chunk i holds up to _MC_CHUNK samples drawn from its own generator
+    `_chunk_rng(seed, i)`; worker threads only split the chunks, so a caller
+    that reduces the results in order is independent of `workers`.
+    """
+    sizes = [min(_MC_CHUNK, n_samples - start) for start in range(0, n_samples, _MC_CHUNK)]
+    rngs = [_chunk_rng(seed, i) for i in range(len(sizes))]
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, rngs, sizes))
+    return list(map(fn, rngs, sizes))
+
+
 def mc_mean(domain, integrand, n_samples, seed, workers=1):
     """Chunked MC mean of `integrand` over uniform points; worker-count independent."""
     n_samples = int(n_samples)
-    chunks = [(i, min(_MC_CHUNK, n_samples - i * _MC_CHUNK)) for i in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK)]
 
-    def run(args):
-        idx, size = args
-        pts = domain.sample(size, _chunk_rng(seed, idx))
-        v = np.asarray(integrand(pts), dtype=float)
+    def run(rng, size):
+        v = np.asarray(integrand(domain.sample(size, rng)), dtype=float)
         return v.sum(), (v * v).sum()
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
+    results = _map_chunks(run, n_samples, seed, workers)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     mean = total / n_samples
@@ -407,10 +417,8 @@ def _grid_axes(domain, h):
     return axes
 
 
-def _bisect_edges(field, t, p0, p1, f0, f1):
-    """Locate f = t along edges with opposite-sign endpoint values."""
-    lo = np.where((f0 < 0)[:, None], p0, p1).copy()
-    hi = np.where((f0 < 0)[:, None], p1, p0).copy()
+def _bisect_edges(field, t, lo, hi):
+    """Locate f = t along edges from f < t points `lo` to f >= t points `hi`."""
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         neg = (field.value(mid) - t) < 0
@@ -419,170 +427,71 @@ def _bisect_edges(field, t, p0, p1, f0, f1):
     return 0.5 * (lo + hi)
 
 
-def _nudge(values):
-    # strict signs everywhere: exact zeros become positive denormals
-    return np.where(values == 0.0, 5e-324, values)
+def _simplex_facets(n):
+    """Facets of {f = t} in an n-simplex, per sign code of its n+1 corners
+    (bit k set: f >= t at corner k), as (F, n, 2) arrays of crossing edges,
+    each edge a (negative corner, positive corner) pair."""
+    table = {}
+    for code in range(1, 2 ** (n + 1) - 1):
+        first = code & 1
+        # corner 0's side against the other side; k positive corners cut k(n+1-k) edges
+        same = [c for c in range(n + 1) if (code >> c) & 1 == first]
+        other = [c for c in range(n + 1) if (code >> c) & 1 != first]
+        edges = [(b, a) if first else (a, b) for a in same for b in other]
+        if len(edges) == n:  # segment in 2D, triangle in 3D
+            facets = [edges]
+        else:  # 2-2 split in 3D: quad (a0b0, a0b1, a1b1, a1b0) cut along a0b0-a1b1
+            facets = [[edges[0], edges[1], edges[3]], [edges[0], edges[3], edges[2]]]
+        table[code] = np.array(facets)
+    return table
 
 
-def _extract_2d(field, t, axes):
-    xs, ys = axes
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    V = _nudge(field.value(pts).reshape(X.shape) - t)
-    S = V > 0
-
-    def cross_points(mask, P0, P1, F0, F1):
-        pts0 = np.full(mask.shape + (2,), np.nan)
-        idx = np.nonzero(mask)
-        if len(idx[0]):
-            pts0[idx] = _bisect_edges(field, t, P0[idx], P1[idx], F0[idx], F1[idx])
-        return pts0
-
-    P = np.stack([X, Y], axis=-1)
-    cH = S[:-1, :] != S[1:, :]
-    ptH = cross_points(cH, P[:-1, :], P[1:, :], V[:-1, :], V[1:, :])
-    cV = S[:, :-1] != S[:, 1:]
-    ptV = cross_points(cV, P[:, :-1], P[:, 1:], V[:, :-1], V[:, 1:])
-    cD = S[:-1, :-1] != S[1:, 1:]
-    ptD = cross_points(cD, P[:-1, :-1], P[1:, 1:], V[:-1, :-1], V[1:, 1:])
-
-    segments = []
-    # cell (i,j) split along the (i,j)-(i+1,j+1) diagonal
-    tri_edges = [
-        (cH[:, :-1], ptH[:, :-1], cV[1:, :], ptV[1:, :], cD, ptD),  # lower triangle
-        (cD, ptD, cH[:, 1:], ptH[:, 1:], cV[:-1, :], ptV[:-1, :]),  # upper triangle
-    ]
-    for m1, p1_, m2, p2_, m3, p3_ in tri_edges:
-        masks = np.stack([m1, m2, m3])
-        cnt = masks.sum(axis=0)
-        sel = np.nonzero(cnt == 2)
-        if not len(sel[0]):
-            continue
-        m3s = masks[:, sel[0], sel[1]]
-        p3s = np.stack([p1_, p2_, p3_])[:, sel[0], sel[1]]
-        order = np.cumsum(m3s, axis=0) * m3s
-        e0 = np.where((order == 1)[..., None], p3s, 0.0).sum(axis=0)
-        e1 = np.where((order == 2)[..., None], p3s, 0.0).sum(axis=0)
-        segments.append(np.stack([e0, e1], axis=1))
-    if not segments:
-        return np.zeros((0, 2, 2))
-    return np.concatenate(segments)
+_SIMPLEX_FACETS = {n: _simplex_facets(n) for n in (2, 3)}
 
 
-# Kuhn decomposition of the unit cube into 6 tetrahedra (consistent faces)
-_KUHN_TETS = []
-for _perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-    _c = [(0, 0, 0)]
-    for _ax in _perm:
-        _v = list(_c[-1])
-        _v[_ax] += 1
-        _c.append(tuple(_v))
-    _KUHN_TETS.append(tuple(_c))
+def _extract_grid(field, t, axes):
+    """(F, n, n) facet vertices of {f = t} on the grid `axes`, n in {2, 3}.
 
-_PAIR_SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    Each grid cell is split into the n! Kuhn simplices of the permutations of
+    the axes (consistent across cells); each distinct crossing grid edge is
+    bisected once and shared by the facets that meet it.
+    """
+    n = len(axes)
+    shape = tuple(len(a) for a in axes)
+    # signs of f - t (zero counts as positive), evaluated in blocks of whole
+    # planes along the last axis so that a block holds about _MC_CHUNK points
+    positive = np.empty(shape, dtype=bool)
+    step = max(1, _MC_CHUNK // math.prod(shape[:-1]))
+    for k in range(0, shape[-1], step):
+        block = np.meshgrid(*axes[:-1], axes[-1][k : k + step], indexing="ij")
+        pts = np.stack([g.ravel() for g in block], axis=1)
+        positive[..., k : k + step] = (field.value(pts) - t >= 0).reshape(block[0].shape)
 
+    # cells with corners of both signs
+    n_pos = np.zeros(tuple(s - 1 for s in shape), dtype=np.uint8)
+    for corner in itertools.product((0, 1), repeat=n):
+        n_pos += positive[tuple(slice(c, s - 1 + c) for c, s in zip(corner, shape))]
+    cells = np.ravel_multi_index(np.nonzero((n_pos > 0) & (n_pos < 2**n)), shape)
 
-def _extract_3d(field, t, axes):
-    xs, ys, zs = axes
-    nx, ny = len(xs), len(ys)
-    XY = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    strides = np.array([math.prod(shape[d + 1 :]) for d in range(n)])
+    offsets = np.array([np.cumsum([0, *strides[list(p)]]) for p in itertools.permutations(range(n))])
+    corners = (cells[:, None, None] + offsets).reshape(-1, n + 1)
+    codes = positive.ravel()[corners] @ (1 << np.arange(n + 1))
+    # (F, n, 2) flat grid indices of the crossing edges of each facet
+    edges = np.concatenate(
+        [corners[codes == c][:, facets].reshape(-1, n, 2) for c, facets in _SIMPLEX_FACETS[n].items()]
+    )
+    size = math.prod(shape)
+    keys, inverse = np.unique(edges[..., 0] * size + edges[..., 1], return_inverse=True)
 
-    def slab_values(kz):
-        pts = np.concatenate([XY, np.full((len(XY), 1), zs[kz])], axis=1)
-        return _nudge(field.value(pts).reshape(nx, ny) - t)
+    def coords(flat):
+        return np.stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))], axis=1)
 
-    tri_e = []  # (S,3,2,3) endpoint pairs for 3-edge facets
-    tri_f = []  # (S,3,2) endpoint values
-    quad_e = []
-    quad_f = []
-
-    prev = slab_values(0)
-    for kz in range(len(zs) - 1):
-        cur = slab_values(kz + 1)
-        slab = np.stack([prev, cur])  # (2, nx, ny)
-        pos = slab > 0
-        # mixed cubes in this slab
-        corner_pos = np.stack(
-            [pos[dz, dx : nx - 1 + dx, dy : ny - 1 + dy] for dz in (0, 1) for dx in (0, 1) for dy in (0, 1)]
-        )
-        mixed = corner_pos.any(axis=0) & ~corner_pos.all(axis=0)
-        ii, jj = np.nonzero(mixed)
-        prev_slab_vals = slab
-        if len(ii):
-            corner_val = {}
-            corner_xyz = {}
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    for dz in (0, 1):
-                        corner_val[(dx, dy, dz)] = prev_slab_vals[dz, ii + dx, jj + dy]
-                        corner_xyz[(dx, dy, dz)] = np.stack(
-                            [xs[ii + dx], ys[jj + dy], np.full(len(ii), zs[kz + dz])], axis=1
-                        )
-            for tet in _KUHN_TETS:
-                vals = np.stack([corner_val[c] for c in tet], axis=1)  # (C,4)
-                coords = np.stack([corner_xyz[c] for c in tet], axis=1)  # (C,4,3)
-                tpos = vals > 0
-                npos = tpos.sum(axis=1)
-                # triangle: one vertex separated from the other three
-                for lone in range(4):
-                    mask = ((npos == 1) & tpos[:, lone]) | ((npos == 3) & ~tpos[:, lone])
-                    if not mask.any():
-                        continue
-                    others = [j for j in range(4) if j != lone]
-                    e = np.stack(
-                        [np.stack([coords[mask, lone], coords[mask, j]], axis=1) for j in others],
-                        axis=1,
-                    )  # (S,3,2,3)
-                    fv = np.stack(
-                        [np.stack([vals[mask, lone], vals[mask, j]], axis=1) for j in others],
-                        axis=1,
-                    )
-                    tri_e.append(e)
-                    tri_f.append(fv)
-                # quad: 2-2 sign split
-                for (a0, a1), (b0, b1) in _PAIR_SPLITS:
-                    mask = (npos == 2) & (tpos[:, a0] == tpos[:, a1]) & (tpos[:, a0] != tpos[:, b0])
-                    if not mask.any():
-                        continue
-                    pairs = [(a0, b0), (a0, b1), (a1, b1), (a1, b0)]
-                    e = np.stack(
-                        [np.stack([coords[mask, p], coords[mask, q]], axis=1) for p, q in pairs],
-                        axis=1,
-                    )  # (S,4,2,3)
-                    fv = np.stack(
-                        [np.stack([vals[mask, p], vals[mask, q]], axis=1) for p, q in pairs],
-                        axis=1,
-                    )
-                    quad_e.append(e)
-                    quad_f.append(fv)
-        prev = cur
-
-    facets = []
-
-    def bisect_grouped(edges, fvals, group):
-        # edges (S, group, 2, 3) -> located points (S, group, 3)
-        if not len(edges):
-            return np.zeros((0, group, 3))
-        flat_e = edges.reshape(-1, 2, 3)
-        flat_f = fvals.reshape(-1, 2)
-        out = np.empty((len(flat_e), 3))
-        for start in range(0, len(flat_e), _MC_CHUNK):
-            sl = slice(start, start + _MC_CHUNK)
-            out[sl] = _bisect_edges(
-                field, t, flat_e[sl, 0], flat_e[sl, 1], flat_f[sl, 0], flat_f[sl, 1]
-            )
-        return out.reshape(-1, group, 3)
-
-    if tri_e:
-        pts = bisect_grouped(np.concatenate(tri_e), np.concatenate(tri_f), 3)
-        facets.append(pts)
-    if quad_e:
-        pts = bisect_grouped(np.concatenate(quad_e), np.concatenate(quad_f), 4)
-        facets.append(pts[:, (0, 1, 2), :])
-        facets.append(pts[:, (0, 2, 3), :])
-    if not facets:
-        return np.zeros((0, 3, 3))
-    return np.concatenate(facets)
+    verts = np.empty((len(keys), n))
+    for start in range(0, len(keys), _MC_CHUNK):
+        lo, hi = np.divmod(keys[start : start + _MC_CHUNK], size)
+        verts[start : start + _MC_CHUNK] = _bisect_edges(field, t, coords(lo), coords(hi))
+    return verts[inverse.reshape(edges.shape[:2])]
 
 
 def extract(field, t, domain, h, h_min=None):
@@ -602,7 +511,7 @@ def extract(field, t, domain, h, h_min=None):
         h_min = h / 4.0
 
     axes = _grid_axes(domain, h)
-    verts = _extract_2d(field, t, axes) if n == 2 else _extract_3d(field, t, axes)
+    verts = _extract_grid(field, t, axes)
     verts = _clip_facets(verts, domain, h_min)
 
     if len(verts) == 0:

@@ -126,6 +126,13 @@ class TestOutputs:
         for name in ("unimodal.json", "unimodal_density.json", "unimodal_density.csv", "unimodal_density.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_reports_do_not_depend_on_workers(self, tmp_path):
+        args = ["curvature", "--preset", "torus-sin", "--no-plot"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--workers", "1", "--out", str(out_a)]) == 0
+        assert run_cli(args + ["--workers", "2", "--out", str(out_b)]) == 0
+        assert (out_a / "curvature.json").read_bytes() == (out_b / "curvature.json").read_bytes()
+
     def test_divergence_preset_defaults(self, tmp_path):
         code = run_cli([
             "divergence", "--preset", "box-neumann", "--N", "1e5",

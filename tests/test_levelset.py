@@ -1,15 +1,17 @@
 """Domains, Monte Carlo quadrature, mesh extraction and radial profiles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nodalab.fields import SparsePolynomial, make_torus_eigenfunction
+from nodalab.fields import ScalarField, SparsePolynomial, make_torus_eigenfunction
 from nodalab.levelset import (
     Domain,
     LevelSetError,
+    _grid_axes,
     default_shell_width,
     extract,
     mc_mean,
@@ -151,6 +153,35 @@ class TestExtraction:
         m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.05)
         v = m.vertices.reshape(-1, 2)
         assert np.abs(CIRCLE.value(v) - 0.25).max() < 1e-8
+
+    def test_each_crossing_edge_is_bisected_once(self):
+        class Counted(ScalarField):
+            dimension = 3
+            points = 0
+
+            def value(self, x):
+                self.points += len(x)
+                return SPHERE.value(x)
+
+            def gradient(self, x):
+                return SPHERE.gradient(x)
+
+        f = Counted()
+        domain = Domain.box([-1] * 3, [1] * 3)
+        m = extract(f, 0.25, domain, 0.1)
+        grid_points = math.prod(len(a) for a in _grid_axes(domain, 0.1))
+        distinct = len(np.unique(m.vertices.reshape(-1, 3), axis=0))
+        assert m.n_facets > 0
+        assert f.points <= grid_points + 30 * distinct
+
+    def test_sphere_mesh_is_closed(self):
+        m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.1)
+        edges = Counter()
+        for tri in m.vertices:
+            corners = [tuple(v) for v in tri]
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                edges[frozenset((corners[a], corners[b]))] += 1
+        assert set(edges.values()) == {2}
 
 
 class TestSubdivisionAndProfiles:
