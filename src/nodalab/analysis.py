@@ -16,30 +16,26 @@ from .fields import (
     ConstantWeight,
     FieldError,
     GradientNormField,
-    ScalarField,
     SparsePolynomial,
     TrigEigenfunction,
     WeightedField,
     TORUS,
     BOX_DIRICHLET,
 )
+from .harmonics import spherical_values
 from .levelset import (
     Domain,
     LevelSetError,
     MESH_ERR_COEFF,
     _chunk_rng,
-    _facet_geometry,
     _map_chunks,
-    _weight_values,
+    _mean_and_se,
+    ball_radial_profiles,
     default_shell_width,
     extract,
-    mc_mean,
+    mesh_quadrature,
     radial_profile,
-    streamed_radial_sums,
-    subdivide_facets,
     thin_shell,
-    weighted_area,
-    weighted_area_error_bound,
 )
 
 
@@ -219,7 +215,6 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
     if flavor == "weighted" and not isinstance(field, WeightedField):
         raise FieldError("weighted flavor requires a WeightedField")
     base = field.base if isinstance(field, WeightedField) else field
-    rho = field.weight if isinstance(field, WeightedField) else None
 
     # seeded pre-pass fixes the bin range
     pre = domain.sample(10**5, _chunk_rng(seed, 1 << 31))
@@ -307,6 +302,18 @@ def unimodality_check(d: DensityEstimate) -> UnimodalityReport:
 # Curvature and level-set derivative identities
 
 
+def _level_curvature(field, pts, g):
+    """Geometry of the level sets of f through regular points `pts`, with
+    g = grad f(pts): (unit normal N, |grad f|, Hess f(N, N), mean curvature H,
+    Delta f), where H = -(Delta f - Hess f(N, N)) / |grad f|."""
+    norms = np.linalg.norm(g, axis=1)
+    hess = field.hessian(pts)
+    lap = field.laplacian(pts)
+    N = g / norms[:, None]
+    hNN = np.einsum("ni,nij,nj->n", N, hess, N)
+    return N, norms, hNN, -(lap - hNN) / norms, lap
+
+
 def curvature_identity_check(field, n_points=1000, seed=0, domain=None):
     """max |H_rho + Delta f| at random regular points, with rho = |grad f|.
 
@@ -334,14 +341,9 @@ def curvature_identity_check(field, n_points=1000, seed=0, domain=None):
         regular = norms >= 1e-6 * scale
         if not regular.any():
             continue
-        pts, g, norms = pts[regular], g[regular], norms[regular]
-        hess = base.hessian(pts)
-        lap = base.laplacian(pts)
-        N = g / norms[:, None]
-        hNN = np.einsum("ni,nij,nj->n", N, hess, N)
-        H = -(lap - hNN) / norms
-        grad_rho_dot_N = hNN  # <grad|grad f|, N> = hess(N,N)
-        H_rho = norms * H - grad_rho_dot_N
+        pts = pts[regular]
+        _, norms, hNN, H, lap = _level_curvature(base, pts, g[regular])
+        H_rho = norms * H - hNN  # <grad |grad f|, N> = Hess f(N, N)
         resid = np.abs(H_rho + lap)
         max_resid = max(max_resid, float(resid.max()))
         collected += len(pts)
@@ -422,36 +424,17 @@ def levelset_derivative_check(field, rho, t, dt, domain=None, h=0.01, seed=0):
                 details={"reason": f"level {s} flagged near-critical"},
             )
 
-    def area_at(s):
-        mesh = extract(base, s, domain, h)
-        w = rho_f.value(mesh.centroids) if mesh.n_facets else np.zeros(0)
-        val = float((mesh.areas * w).sum())
-        err = MESH_ERR_COEFF * h * float((mesh.areas * np.abs(w)).sum())
-        return val, err
-
-    a_plus, e_plus = area_at(t + dt)
-    a_minus, e_minus = area_at(t - dt)
+    a_plus, e_plus = mesh_quadrature(extract(base, t + dt, domain, h), rho_f)
+    a_minus, e_minus = mesh_quadrature(extract(base, t - dt, domain, h), rho_f)
     lhs = (a_plus - a_minus) / (2.0 * dt)
     lhs_err = (e_plus + e_minus) / (2.0 * dt)
 
-    mesh = extract(base, t, domain, h)
-    if mesh.is_empty():
-        rhs, rhs_err = 0.0, 0.0
-    else:
-        pts = mesh.centroids
-        g = base.gradient(pts)
-        norms = np.linalg.norm(g, axis=1)
-        hess = base.hessian(pts)
-        lap = base.laplacian(pts)
-        N = g / norms[:, None]
-        hNN = np.einsum("ni,nij,nj->n", N, hess, N)
-        H = -(lap - hNN) / norms
-        rho_v = rho_f.value(pts)
-        grho = rho_f.gradient(pts)
-        H_rho = rho_v * H - np.einsum("ni,ni->n", grho, N)
-        integrand = H_rho / norms
-        rhs = -float((mesh.areas * integrand).sum())
-        rhs_err = MESH_ERR_COEFF * h * float((mesh.areas * np.abs(integrand)).sum())
+    def h_rho_over_gradnorm(pts):
+        N, norms, _, H, _ = _level_curvature(base, pts, base.gradient(pts))
+        return (rho_f.value(pts) * H - np.einsum("ni,ni->n", rho_f.gradient(pts), N)) / norms
+
+    flux, rhs_err = mesh_quadrature(extract(base, t, domain, h), h_rho_over_gradnorm)
+    rhs = -flux
 
     # central-difference truncation, second-order
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -477,8 +460,6 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
     ):
         raise ValueError("Dirichlet case requires sgn(t1) = sgn(t2)")
 
-    rho = field.weight if weighted else None
-
     def lhs_weight(pts):
         w = base.grad_norm(pts)
         if weighted:
@@ -486,14 +467,10 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
         return w
 
     if base.dimension in (2, 3):
-        m1 = extract(base, t1, domain, h)
-        m2 = extract(base, t2, domain, h)
-        w1 = lhs_weight(m1.centroids) if m1.n_facets else np.zeros(0)
-        w2 = lhs_weight(m2.centroids) if m2.n_facets else np.zeros(0)
-        lhs = float((m2.areas * w2).sum() - (m1.areas * w1).sum())
-        lhs_err = MESH_ERR_COEFF * h * float(
-            (m2.areas * np.abs(w2)).sum() + (m1.areas * np.abs(w1)).sum()
-        )
+        flux1, err1 = mesh_quadrature(extract(base, t1, domain, h), lhs_weight)
+        flux2, err2 = mesh_quadrature(extract(base, t2, domain, h), lhs_weight)
+        lhs = flux2 - flux1
+        lhs_err = err2 + err1
     else:
         delta = default_shell_width(domain)
         est1 = thin_shell(base, t1, lhs_weight, domain, delta, n_samples, seed + 101, workers)
@@ -502,26 +479,30 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
         lhs_err = math.hypot(est1.standard_error, est2.standard_error)
 
     vol = domain.volume()
-    slab_hits = [0]
+    n_samples = int(n_samples)
 
-    def rhs_integrand(pts):
+    def rhs_chunk(rng, size):
+        # each chunk returns its slab hits: no state is shared between threads
+        pts = domain.sample(size, rng)
         vals = base.value(pts)
         inside = (vals > t1) & (vals < t2)
-        slab_hits[0] += int(inside.sum())
-        out = np.zeros(len(pts))
+        out = np.zeros(size)
         if inside.any():
             sub = pts[inside]
             if weighted:
                 out[inside] = field.weighted_laplacian(sub) * field.weight_values(sub)
             else:
                 out[inside] = base.laplacian(sub)
-        return vol * out
+        v = vol * out
+        return v.sum(), (v * v).sum(), int(inside.sum())
 
-    mean, se = mc_mean(domain, rhs_integrand, n_samples, seed, workers)
-    if slab_hits[0] == 0:
+    chunks = _map_chunks(rhs_chunk, n_samples, seed, workers)
+    slab_samples = sum(c[2] for c in chunks)
+    if slab_samples == 0:
         raise LevelSetError(f"empty slab {{{t1} < f < {t2}}}")
+    mean, se = _mean_and_se(chunks, n_samples)
     return _identity_report(lhs, lhs_err, mean, se,
-                            details={"t1": t1, "t2": t2, "slab_samples": slab_hits[0]})
+                            details={"t1": t1, "t2": t2, "slab_samples": slab_samples})
 
 
 # ---------------------------------------------------------------------------
@@ -563,32 +544,6 @@ def _homogeneous_data(P):
     return P.dimension, k
 
 
-def _dual_radial_profiles(P, t, r_grid, h, h_min):
-    """One mesh, two cumulative profiles: weight |grad P| and 1/(|x|^2 |grad P|)."""
-    n = P.dimension
-    r_max = float(r_grid[-1])
-    if h_min is None:
-        h_min = h / 8.0
-    mesh = extract(P, t, Domain.ball([0.0] * n, r_max), h, h_min=h_min)
-    if mesh.is_empty():
-        z = np.zeros(len(r_grid))
-        return z, z, 0
-    scale = float(mesh.gradnorms.max())
-
-    def w_I(cents, areas, gradnorms):
-        return gradnorms
-
-    def w_J(cents, areas, gradnorms):
-        # bound the contribution of near-critical facets instead of failing
-        safe = np.maximum(gradnorms, 1e-6 * scale)
-        return 1.0 / ((cents**2).sum(axis=1) * safe)
-
-    (I, J), flagged = streamed_radial_sums(
-        P, mesh, np.zeros(n), r_grid, h_min, [w_I, w_J]
-    )
-    return I, J, flagged
-
-
 def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
     """Sphere-flux identity on {P = t0}: central differences of
     I(r) - k^2 t0^2 J(r) against (n+k-2) I(r) / r."""
@@ -604,7 +559,13 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
     if not np.allclose(steps, dr, rtol=1e-9):
         raise ValueError("r-grid must be uniform for central differences")
 
-    I, J, flagged = _dual_radial_profiles(P, t0, r_grid, h, h_min)
+    def w_J(cents, gradnorms, floor):
+        # near-critical facets are bounded by the flagging floor instead of failing
+        return 1.0 / ((cents**2).sum(axis=1) * np.maximum(gradnorms, floor))
+
+    (I, J), _, flagged = ball_radial_profiles(
+        P, t0, r_grid, np.zeros(n), h, h / 8.0 if h_min is None else h_min,
+        [lambda cents, gradnorms, floor: gradnorms, w_J])
     G = I - k**2 * t0**2 * J
     dG = (G[2:] - G[:-2]) / (2.0 * dr)
     rhs = (n + k - 2) * I[1:-1] / r_grid[1:-1]
@@ -653,9 +614,8 @@ def corollary_unimodality(P, t_grid, h=0.02):
     psi = np.empty(len(t_grid))
     err = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        mesh = extract(P, float(t), ball, h)
-        psi[i] = weighted_area(mesh)
-        err[i] = weighted_area_error_bound(mesh) + 1e-12
+        psi[i], err[i] = mesh_quadrature(extract(P, float(t), ball, h))
+    err += 1e-12
     neg = t_grid <= 0.0
     pos = t_grid >= 0.0
     rep_neg = _monotone_report(t_grid[neg], psi[neg], err[neg], "non-decreasing")
@@ -684,8 +644,7 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
     def run(rng, size):
         dirs = rng.standard_normal((size, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        p = P.value(dirs)
-        g2 = (P.gradient(dirs) ** 2).sum(axis=1) - k**2 * p**2
+        p, g2 = spherical_values(P, dirs)
         g2 = np.maximum(g2, 0.0)
         positive = p > 0
         dens = np.zeros(size)
@@ -781,12 +740,8 @@ def robin_identity_check(P, t1, t2, h=0.01, quad_nodes=10**6):
     lo, hi = min(t1, t2), max(t1, t2)
     ball = Domain.ball([0.0] * n, 1.0)
 
-    def psi(t):
-        mesh = extract(P, t, ball, h)
-        return weighted_area(mesh), weighted_area_error_bound(mesh)
-
-    psi2, err2 = psi(t2)
-    psi1, err1 = psi(t1)
+    psi2, err2 = mesh_quadrature(extract(P, t2, ball, h))
+    psi1, err1 = mesh_quadrature(extract(P, t1, ball, h))
     lhs = psi2 - psi1
     band, band_err = _sphere_band_integral(P, lo, hi, quad_nodes)
     rhs = -k * band * (1.0 if t2 > t1 else -1.0)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -151,11 +152,7 @@ def _config_dict(args, command):
         "preset", "field", "measure", "N", "bins", "h", "delta", "t", "t1", "t2",
         "rgrid", "egrid", "seed", "plot",
     )
-    cfg = {"command": command}
-    for k in keys:
-        if hasattr(args, k):
-            cfg[k] = getattr(args, k)
-    return cfg
+    return {"command": command, **{k: getattr(args, k) for k in keys}}
 
 
 def _config_hash(cfg):
@@ -258,72 +255,8 @@ def _write_svg(path, series, title, cfg, x_label="x", y_label="y"):
 # Commands
 
 
-def _cmd_density(args, out_dir, name="density"):
-    target = _load_target(args)
-    cfg = _config_dict(args, name)
-    d = analysis.value_distribution_density(
-        target["field"], args.measure, target["domain"], args.bins, args.N, args.seed,
-        workers=args.workers,
-    )
-    json_path = os.path.join(out_dir, f"{name}.json")
-    _write_json(json_path, {"density": d.to_json(), "field": field_to_json(target["field"])}, cfg)
-    rows = list(zip(d.centers, d.density, d.density_se, d.raw_psi, d.raw_se))
-    _write_csv(os.path.join(out_dir, f"{name}.csv"),
-               ["t", "density", "density_se", "raw_psi", "raw_se"], rows, cfg)
-    if args.plot:
-        _write_svg(
-            os.path.join(out_dir, f"{name}.svg"),
-            [{"x": d.centers, "y": d.density, "yerr": d.density_se, "label": args.measure}],
-            f"value distribution density ({args.measure})", cfg, "t", "density",
-        )
-    return True, json_path, d
-
-
-def _cmd_unimodal(args, out_dir):
-    ok, json_path, d = _cmd_density(args, out_dir, name="unimodal_density")
-    cfg = _config_dict(args, "unimodal")
-    rep = analysis.unimodality_check(d)
-    path = os.path.join(out_dir, "unimodal.json")
-    _write_json(path, {"unimodality": rep.to_json(), "measure": args.measure}, cfg)
-    return rep.passed, path, rep
-
-
-def _cmd_curvature(args, out_dir):
-    target = _load_target(args)
-    cfg = _config_dict(args, "curvature")
-    rep = analysis.curvature_identity_check(
-        target["field"], n_points=args.N, seed=args.seed, domain=target["domain"]
-    )
-    path = os.path.join(out_dir, "curvature.json")
-    _write_json(path, {"identity": rep.to_json()}, cfg)
-    return rep.passed, path, rep
-
-
-def _cmd_divergence(args, out_dir):
-    target = _load_target(args)
-    cfg = _config_dict(args, "divergence")
-    t1 = target["t1"] if args.t1 is None else args.t1
-    t2 = target["t2"] if args.t2 is None else args.t2
-    rep = analysis.divergence_identity_check(
-        target["field"], t1, t2, target["domain"],
-        n_samples=args.N, seed=args.seed, h=args.h, workers=args.workers,
-    )
-    path = os.path.join(out_dir, "divergence.json")
-    _write_json(path, {"identity": rep.to_json()}, cfg)
-    return rep.passed, path, rep
-
-
-def _cmd_deriv(args, out_dir):
-    target = _load_target(args)
-    cfg = _config_dict(args, "deriv")
-    t = target["t"] if args.t is None else args.t
-    dt = args.delta if args.delta is not None else 0.01
-    rep = analysis.levelset_derivative_check(
-        target["field"], "gradnorm", t, dt, domain=target["domain"], h=args.h, seed=args.seed
-    )
-    path = os.path.join(out_dir, "deriv.json")
-    _write_json(path, {"identity": rep.to_json()}, cfg)
-    return rep.passed, path, rep
+def _given(value, default):
+    return default if value is None else value
 
 
 def _require_harmonic(target):
@@ -333,106 +266,70 @@ def _require_harmonic(target):
     return field
 
 
-def _cmd_prop51(args, out_dir):
-    target = _load_target(args)
+def _series(label, x, y, yerr=None):
+    return {"x": x, "y": y, "yerr": yerr, "label": label}
+
+
+def _keyed(key):
+    """Payload {key: report.to_json()}."""
+    return lambda rep, args, target: {key: rep.to_json()}
+
+
+def _curve(rep):
+    return rep.grid, rep.values, rep.errors
+
+
+def _always_passes(rep):
+    return True
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand.  `check(args, target)` returns its report, which is
+    written to <name>.json as `payload(report, args, target)`, to <name>.csv as
+    the columns `csv(report)` -> {header: values}, and (unless --no-plot) to
+    <name>.svg as the chart (title, x label, y label, series(report, args));
+    the title may name arguments, as in "{measure}".  `verdict(report)` sets
+    the exit code.  `n` and `h` are the defaults of --N and --h."""
+
+    help: str
+    check: object = None
+    n: int = 10**5
+    h: float = 0.02
+    payload: object = _keyed("identity")
+    csv: object = None
+    chart: tuple = None
+    verdict: object = lambda rep: rep.passed
+
+
+def _density(args, target):
+    return analysis.value_distribution_density(
+        target["field"], args.measure, target["domain"], args.bins, args.N, args.seed,
+        workers=args.workers,
+    )
+
+
+def _unimodal(args, target):
+    density = _execute("density", args, name="unimodal_density", target=target)[2]
+    return analysis.unimodality_check(density)
+
+
+def _both_passed(reps):
+    return reps[0].passed and reps[1].passed
+
+
+def _corollary_columns(reps):
+    return tuple(np.concatenate(parts) for parts in zip(*map(_curve, reps)))
+
+
+def _explore(args, target):
     P = _require_harmonic(target)
-    cfg = _config_dict(args, "prop51")
-    grid = _parse_grid(args.rgrid) if args.rgrid else _parse_grid("0.7:1.5:0.01")
-    t0 = target["t"] if args.t is None else args.t
-    rep = analysis.prop51_check(P, t0, grid, h=args.h, rel_tol=args.tol)
-    path = os.path.join(out_dir, "prop51.json")
-    _write_json(path, {"identity": rep.to_json()}, cfg)
-    det = rep.details
-    rows = list(zip(det["r"], det["I"], det["J"]))
-    _write_csv(os.path.join(out_dir, "prop51.csv"), ["r", "I", "J"], rows, cfg)
-    if args.plot:
-        _write_svg(os.path.join(out_dir, "prop51.svg"),
-                   [{"x": det["r"][1:-1], "y": det["dG"], "label": "dG/dr"},
-                    {"x": det["r"][1:-1], "y": det["rhs"], "label": "(n+k-2) I/r"}],
-                   "sphere-flux identity", cfg, "r", "value")
-    return rep.passed, path, rep
+    grid = _parse_grid(args.rgrid or "0.2:1.2:0.1")
+    return analysis.explore_general_monotonicity(P, [0.0] * P.dimension, grid, h=args.h)
 
 
-def _cmd_monotone(args, out_dir):
-    target = _load_target(args)
-    P = _require_harmonic(target)
-    cfg = _config_dict(args, "monotone")
-    grid = _parse_grid(args.rgrid) if args.rgrid else _parse_grid("0.6:1.6:0.05")
-    t = target["t"] if args.t is None else args.t
-    rep = analysis.monotonicity_check(P, t, grid, h=args.h)
-    path = os.path.join(out_dir, "monotone.json")
-    _write_json(path, {"monotonicity": rep.to_json()}, cfg)
-    _write_csv(os.path.join(out_dir, "monotone.csv"), ["r", "F", "error"],
-               list(zip(rep.grid, rep.values, rep.errors)), cfg)
-    if args.plot:
-        _write_svg(os.path.join(out_dir, "monotone.svg"),
-                   [{"x": rep.grid, "y": rep.values, "yerr": rep.errors, "label": "F(r)"}],
-                   "density ratio F(r)", cfg, "r", "F")
-    return rep.passed, path, rep
-
-
-def _cmd_corollary(args, out_dir):
-    target = _load_target(args)
-    P = _require_harmonic(target)
-    cfg = _config_dict(args, "corollary")
-    grid = _parse_grid(args.rgrid) if args.rgrid else _parse_grid("-0.9:0.9:0.15")
-    rep_neg, rep_pos = analysis.corollary_unimodality(P, grid, h=args.h)
-    passed = rep_neg.passed and rep_pos.passed
-    path = os.path.join(out_dir, "corollary.json")
-    _write_json(path, {"negative_side": rep_neg.to_json(), "positive_side": rep_pos.to_json(),
-                       "passed": passed}, cfg)
-    rows = list(zip(np.concatenate([rep_neg.grid, rep_pos.grid]),
-                    np.concatenate([rep_neg.values, rep_pos.values]),
-                    np.concatenate([rep_neg.errors, rep_pos.errors])))
-    _write_csv(os.path.join(out_dir, "corollary.csv"), ["t", "psi", "error"], rows, cfg)
-    if args.plot:
-        _write_svg(os.path.join(out_dir, "corollary.svg"),
-                   [{"x": rows_col(rows, 0), "y": rows_col(rows, 1), "label": "psi(t)"}],
-                   "level-set weighted area", cfg, "t", "psi")
-    return passed, path, (rep_neg, rep_pos)
-
-
-def rows_col(rows, i):
-    return [r[i] for r in rows]
-
-
-def _cmd_sphere(args, out_dir):
-    target = _load_target(args)
-    P = _require_harmonic(target)
-    cfg = _config_dict(args, "sphere")
-    grid = _parse_grid(args.egrid) if args.egrid else _parse_grid("0.1:0.9:0.1")
-    rep = analysis.spherical_monotonicity(P, grid, n_samples=args.N, seed=args.seed)
-    path = os.path.join(out_dir, "sphere.json")
-    _write_json(path, {"monotonicity": rep.to_json()}, cfg)
-    _write_csv(os.path.join(out_dir, "sphere.csv"), ["eps", "value", "se"],
-               list(zip(rep.grid, rep.values, rep.errors)), cfg)
-    if args.plot:
-        _write_svg(os.path.join(out_dir, "sphere.svg"),
-                   [{"x": rep.grid, "y": rep.values, "yerr": rep.errors, "label": "functional"}],
-                   "superlevel functional", cfg, "eps", "value")
-    return rep.passed, path, rep
-
-
-def _cmd_robin(args, out_dir):
-    target = _load_target(args)
-    P = _require_harmonic(target)
-    cfg = _config_dict(args, "robin")
-    t1 = target["t1"] if args.t1 is None else args.t1
-    t2 = target["t2"] if args.t2 is None else args.t2
-    rep = analysis.robin_identity_check(P, t1, t2, h=args.h, quad_nodes=args.N)
-    path = os.path.join(out_dir, "robin.json")
-    _write_json(path, {"identity": rep.to_json()}, cfg)
-    return rep.passed, path, rep
-
-
-def _cmd_explore(args, out_dir):
-    target = _load_target(args)
-    P = _require_harmonic(target)
-    cfg = _config_dict(args, "explore")
-    grid = _parse_grid(args.rgrid) if args.rgrid else _parse_grid("0.2:1.2:0.1")
-    table = analysis.explore_general_monotonicity(P, [0.0] * P.dimension, grid, h=args.h)
-    path = os.path.join(out_dir, "explore.json")
-    payload = {
+def _explore_payload(table, args, target):
+    return {
         "r": table["r"].tolist(),
         "I": table["I"].tolist(),
         "loglog_slopes": [None if math.isnan(v) else v for v in table["loglog_slopes"]],
@@ -443,96 +340,168 @@ def _cmd_explore(args, out_dir):
         "n_facets": table["n_facets"],
         "n_flagged": table["n_flagged"],
     }
-    _write_json(path, payload, cfg)
-    header = ["r", "I"] + [f"ratio_e{e:g}" for e in table["exponents"]]
-    rows = []
-    for i, r in enumerate(table["r"]):
-        rows.append([r, table["I"][i]] + [rec["values"][i] for rec in table["exponents"].values()])
-    _write_csv(os.path.join(out_dir, "explore.csv"), header, rows, cfg)
-    if args.plot:
-        series = [
-            {"x": table["r"], "y": rec["values"], "label": f"e={e:g}"}
-            for e, rec in table["exponents"].items()
-        ]
-        _write_svg(os.path.join(out_dir, "explore.svg"), series,
-                   "exponent scan (exploratory)", cfg, "r", "I/r^e")
-    return True, path, table
 
 
-def _cmd_suite(args, out_dir):
-    """Reduced-scale battery over the shipped presets; exit 0 iff all pass."""
+COMMANDS = {
+    "density": _Command(
+        "value-distribution density histogram", _density, n=10**6,
+        payload=lambda d, args, target: {"density": d.to_json(), "field": field_to_json(target["field"])},
+        csv=lambda d: {"t": d.centers, "density": d.density, "density_se": d.density_se,
+                       "raw_psi": d.raw_psi, "raw_se": d.raw_se},
+        chart=("value distribution density ({measure})", "t", "density",
+               lambda d, args: [_series(args.measure, d.centers, d.density, d.density_se)]),
+        verdict=_always_passes,
+    ),
+    "unimodal": _Command(
+        "density + unimodality detector", _unimodal, n=10**6,
+        payload=lambda rep, args, target: {"unimodality": rep.to_json(), "measure": args.measure},
+    ),
+    "curvature": _Command(
+        "pointwise weighted-mean-curvature identity",
+        lambda args, target: analysis.curvature_identity_check(
+            target["field"], n_points=args.N, seed=args.seed, domain=target["domain"]),
+        n=1000,
+    ),
+    "divergence": _Command(
+        "slab flux balance identity",
+        lambda args, target: analysis.divergence_identity_check(
+            target["field"], _given(args.t1, target["t1"]), _given(args.t2, target["t2"]),
+            target["domain"], n_samples=args.N, seed=args.seed, h=args.h, workers=args.workers),
+        n=10**6, h=0.01,
+    ),
+    "deriv": _Command(
+        "level-set derivative identity",
+        lambda args, target: analysis.levelset_derivative_check(
+            target["field"], "gradnorm", _given(args.t, target["t"]), _given(args.delta, 0.01),
+            domain=target["domain"], h=args.h, seed=args.seed),
+        h=0.01,
+    ),
+    "prop51": _Command(
+        "sphere-flux radial identity",
+        lambda args, target: analysis.prop51_check(
+            _require_harmonic(target), _given(args.t, target["t"]),
+            _parse_grid(args.rgrid or "0.7:1.5:0.01"), h=args.h, rel_tol=args.tol),
+        h=0.01,
+        csv=lambda rep: {c: rep.details[c] for c in ("r", "I", "J")},
+        chart=("sphere-flux identity", "r", "value",
+               lambda rep, args: [_series("dG/dr", rep.details["r"][1:-1], rep.details["dG"]),
+                                  _series("(n+k-2) I/r", rep.details["r"][1:-1], rep.details["rhs"])]),
+    ),
+    "monotone": _Command(
+        "density-ratio monotonicity",
+        lambda args, target: analysis.monotonicity_check(
+            _require_harmonic(target), _given(args.t, target["t"]),
+            _parse_grid(args.rgrid or "0.6:1.6:0.05"), h=args.h),
+        payload=_keyed("monotonicity"),
+        csv=lambda rep: dict(zip(("r", "F", "error"), _curve(rep))),
+        chart=("density ratio F(r)", "r", "F", lambda rep, args: [_series("F(r)", *_curve(rep))]),
+    ),
+    "corollary": _Command(
+        "level-set area unimodality over t",
+        lambda args, target: analysis.corollary_unimodality(
+            _require_harmonic(target), _parse_grid(args.rgrid or "-0.9:0.9:0.15"), h=args.h),
+        payload=lambda reps, args, target: {
+            "negative_side": reps[0].to_json(), "positive_side": reps[1].to_json(),
+            "passed": _both_passed(reps)},
+        csv=lambda reps: dict(zip(("t", "psi", "error"), _corollary_columns(reps))),
+        chart=("level-set weighted area", "t", "psi",
+               lambda reps, args: [_series("psi(t)", *_corollary_columns(reps)[:2])]),
+        verdict=_both_passed,
+    ),
+    "sphere": _Command(
+        "spherical superlevel functional monotonicity",
+        lambda args, target: analysis.spherical_monotonicity(
+            _require_harmonic(target), _parse_grid(args.egrid or "0.1:0.9:0.1"),
+            n_samples=args.N, seed=args.seed),
+        n=10**6,
+        payload=_keyed("monotonicity"),
+        csv=lambda rep: dict(zip(("eps", "value", "se"), _curve(rep))),
+        chart=("superlevel functional", "eps", "value",
+               lambda rep, args: [_series("functional", *_curve(rep))]),
+    ),
+    "robin": _Command(
+        "Robin boundary flux identity",
+        lambda args, target: analysis.robin_identity_check(
+            _require_harmonic(target), _given(args.t1, target["t1"]), _given(args.t2, target["t2"]),
+            h=args.h, quad_nodes=args.N),
+        n=10**6, h=0.01,
+    ),
+    "explore": _Command(
+        "exponent scan for general harmonic nodal sets", _explore,
+        payload=_explore_payload,
+        csv=lambda table: {"r": table["r"], "I": table["I"],
+                           **{f"ratio_e{e:g}": rec["values"] for e, rec in table["exponents"].items()}},
+        chart=("exponent scan (exploratory)", "r", "I/r^e",
+               lambda table, args: [_series(f"e={e:g}", table["r"], rec["values"])
+                                    for e, rec in table["exponents"].items()]),
+        verdict=_always_passes,
+    ),
+    "suite": _Command("full reduced-scale battery"),
+}
+
+
+def _execute(command, args, name=None, target=None):
+    """Run `command`'s check and write its reports as <name>.json/.csv/.svg
+    in args.out; returns (passed, JSON path, report)."""
+    spec = COMMANDS[command]
+    name = name or command
+    if target is None:
+        target = _load_target(args)
+    rep = spec.check(args, target)
+    cfg = _config_dict(args, name)
+    stem = os.path.join(args.out, name)
+    _write_json(stem + ".json", spec.payload(rep, args, target), cfg)
+    if spec.csv:
+        columns = spec.csv(rep)
+        _write_csv(stem + ".csv", list(columns), zip(*columns.values()), cfg)
+    if spec.chart and args.plot:
+        title, x_label, y_label, series = spec.chart
+        _write_svg(stem + ".svg", series(rep, args), title.format_map(vars(args)), cfg, x_label, y_label)
+    return spec.verdict(rep), stem + ".json", rep
+
+
+# (label, command, overrides of the suite's own arguments, rename of the JSON report, expected verdict)
+_SUITE = (
+    ("unimodal-mu", "unimodal",
+     {"preset": "torus-sin", "measure": "mu", "N": 200_000, "bins": 32}, None, True),
+    ("unimodal-sigma-fails", "unimodal",
+     {"preset": "torus-sin", "measure": "sigma", "N": 200_000, "bins": 32}, "unimodal_sigma.json", False),
+    *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 500}, f"curvature_{preset}.json", True)
+      for preset in ("torus-sin", "p=x3", "x2-y2", "box-dirichlet", "box-neumann", "hermite-gaussian")),
+    ("divergence-torus", "divergence",
+     {"preset": "torus-sin", "N": 200_000, "h": 0.005, "t1": None, "t2": None}, None, True),
+    ("divergence-box-neumann", "divergence",
+     {"preset": "box-neumann", "N": 100_000, "h": 0.005, "t1": None, "t2": None}, "divergence_box.json", True),
+    ("deriv-torus", "deriv", {"preset": "torus-sin", "t": 0.5, "delta": 0.01, "h": 0.005}, None, True),
+    ("monotone-x3", "monotone", {"preset": "p=x3", "t": 0.5, "rgrid": "0.6:1.6:0.1", "h": 0.05}, None, True),
+    ("prop51-x3", "prop51",
+     {"preset": "p=x3", "t": 0.5, "rgrid": "0.7:1.5:0.05", "h": 0.02, "tol": 0.05}, None, True),
+    ("corollary-x3", "corollary", {"preset": "p=x3", "rgrid": "-0.9:0.9:0.15", "h": 0.05}, None, True),
+    ("sphere-x3", "sphere", {"preset": "p=x3", "N": 200_000, "egrid": "0.1:0.9:0.1"}, None, True),
+    ("robin-x3", "robin", {"preset": "p=x3", "t1": 0.2, "t2": 0.4, "h": 0.02, "N": 200_000}, None, True),
+    ("explore", "explore", {"preset": "harmonic-mix", "rgrid": "0.2:1.2:0.1", "h": 0.05}, None, True),
+)
+
+
+def _run_suite(args):
+    """Reduced-scale battery over the shipped presets; passes iff every step
+    gives its expected verdict."""
     failures = []
-
-    def record(name, passed, path):
-        status = "PASS" if passed else "FAIL"
-        print(f"[suite] {status} {name} -> {path}")
-        if not passed:
-            failures.append((name, path))
-
-    base = argparse.Namespace(**vars(args))
-
-    def sub(**kw):
-        ns = argparse.Namespace(**vars(base))
-        for k, v in kw.items():
-            setattr(ns, k, v)
-        return ns
-
-    # density + unimodality detector, both measures
-    ns = sub(preset="torus-sin", field=None, measure="mu", N=200_000, bins=32)
-    ok, path, _ = _cmd_unimodal(ns, out_dir)
-    record("unimodal-mu", ok, path)
-    ns = sub(preset="torus-sin", field=None, measure="sigma", N=200_000, bins=32)
-    ok, path, _ = _cmd_unimodal(ns, out_dir)
-    os.replace(os.path.join(out_dir, "unimodal.json"), os.path.join(out_dir, "unimodal_sigma.json"))
-    record("unimodal-sigma-fails", not ok, os.path.join(out_dir, "unimodal_sigma.json"))
-
-    for preset in ("torus-sin", "p=x3", "x2-y2", "box-dirichlet", "box-neumann", "hermite-gaussian"):
-        ns = sub(preset=preset, field=None, N=500)
-        ok, path, _ = _cmd_curvature(ns, out_dir)
-        os.replace(path, os.path.join(out_dir, f"curvature_{preset}.json"))
-        record(f"curvature-{preset}", ok, os.path.join(out_dir, f"curvature_{preset}.json"))
-
-    ns = sub(preset="torus-sin", field=None, N=200_000, h=0.005, t1=None, t2=None)
-    ok, path, _ = _cmd_divergence(ns, out_dir)
-    record("divergence-torus", ok, path)
-    ns = sub(preset="box-neumann", field=None, N=100_000, h=0.005, t1=None, t2=None)
-    ok, path, _ = _cmd_divergence(ns, out_dir)
-    os.replace(path, os.path.join(out_dir, "divergence_box.json"))
-    record("divergence-box-neumann", ok, os.path.join(out_dir, "divergence_box.json"))
-
-    ns = sub(preset="torus-sin", field=None, t=0.5, delta=0.01, h=0.005)
-    ok, path, _ = _cmd_deriv(ns, out_dir)
-    record("deriv-torus", ok, path)
-
-    ns = sub(preset="p=x3", field=None, t=0.5, rgrid="0.6:1.6:0.1", h=0.05)
-    ok, path, _ = _cmd_monotone(ns, out_dir)
-    record("monotone-x3", ok, path)
-
-    ns = sub(preset="p=x3", field=None, t=0.5, rgrid="0.7:1.5:0.05", h=0.02, tol=0.05)
-    ok, path, _ = _cmd_prop51(ns, out_dir)
-    record("prop51-x3", ok, path)
-
-    ns = sub(preset="p=x3", field=None, rgrid="-0.9:0.9:0.15", h=0.05)
-    ok, path, _ = _cmd_corollary(ns, out_dir)
-    record("corollary-x3", ok, path)
-
-    ns = sub(preset="p=x3", field=None, N=200_000, egrid="0.1:0.9:0.1")
-    ok, path, _ = _cmd_sphere(ns, out_dir)
-    record("sphere-x3", ok, path)
-
-    ns = sub(preset="p=x3", field=None, t1=0.2, t2=0.4, h=0.02, N=200_000)
-    ok, path, _ = _cmd_robin(ns, out_dir)
-    record("robin-x3", ok, path)
-
-    ns = sub(preset="harmonic-mix", field=None, rgrid="0.2:1.2:0.1", h=0.05)
-    ok, path, _ = _cmd_explore(ns, out_dir)
-    record("explore", ok, path)
-
+    for label, command, overrides, rename, expected in _SUITE:
+        ns = argparse.Namespace(**{**vars(args), "field": None, **overrides})
+        passed, path, _ = _execute(command, ns)
+        if rename:
+            os.replace(path, os.path.join(args.out, rename))
+            path = os.path.join(args.out, rename)
+        ok = passed == expected
+        print(f"[suite] {'PASS' if ok else 'FAIL'} {label} -> {path}")
+        if not ok:
+            failures.append(label)
     if failures:
-        print(f"[suite] {len(failures)} check(s) failed: " + ", ".join(n for n, _ in failures))
-        return False, out_dir, failures
+        print(f"[suite] {len(failures)} check(s) failed: " + ", ".join(failures))
+        return False, args.out, failures
     print("[suite] all checks passed")
-    return True, out_dir, []
+    return True, args.out, []
 
 
 # ---------------------------------------------------------------------------
@@ -545,28 +514,14 @@ def _build_parser():
         description="level-set functionals of eigenfunctions and harmonic polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "density": "value-distribution density histogram",
-        "unimodal": "density + unimodality detector",
-        "curvature": "pointwise weighted-mean-curvature identity",
-        "divergence": "slab flux balance identity",
-        "deriv": "level-set derivative identity",
-        "prop51": "sphere-flux radial identity",
-        "monotone": "density-ratio monotonicity",
-        "corollary": "level-set area unimodality over t",
-        "sphere": "spherical superlevel functional monotonicity",
-        "robin": "Robin boundary flux identity",
-        "explore": "exponent scan for general harmonic nodal sets",
-        "suite": "full reduced-scale battery",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--preset", default=None, help=f"one of: {', '.join(PRESET_NAMES)}")
         p.add_argument("--field", default=None, help="path to a field JSON document")
         p.add_argument("--measure", default="mu", choices=["sigma", "mu", "weighted"])
-        p.add_argument("--N", type=_parse_count, default=None)
+        p.add_argument("--N", type=_parse_count, default=spec.n)
         p.add_argument("--bins", type=int, default=64)
-        p.add_argument("--h", type=float, default=None)
+        p.add_argument("--h", type=float, default=spec.h)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--t", type=float, default=None)
         p.add_argument("--t1", type=float, default=None)
@@ -582,69 +537,21 @@ def _build_parser():
     return parser
 
 
-_DEFAULT_N = {
-    "density": 10**6,
-    "unimodal": 10**6,
-    "curvature": 1000,
-    "divergence": 10**6,
-    "deriv": 10**5,
-    "prop51": 10**5,
-    "monotone": 10**5,
-    "corollary": 10**5,
-    "sphere": 10**6,
-    "robin": 10**6,
-    "explore": 10**5,
-    "suite": 10**5,
-}
-
-_DEFAULT_H = {
-    "deriv": 0.01,
-    "divergence": 0.01,
-    "prop51": 0.01,
-    "monotone": 0.02,
-    "corollary": 0.02,
-    "robin": 0.01,
-    "explore": 0.02,
-}
-
-_HANDLERS = {
-    "density": _cmd_density,
-    "unimodal": _cmd_unimodal,
-    "curvature": _cmd_curvature,
-    "divergence": _cmd_divergence,
-    "deriv": _cmd_deriv,
-    "prop51": _cmd_prop51,
-    "monotone": _cmd_monotone,
-    "corollary": _cmd_corollary,
-    "sphere": _cmd_sphere,
-    "robin": _cmd_robin,
-    "explore": _cmd_explore,
-    "suite": _cmd_suite,
-}
-
-
 def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.N is None:
-        args.N = _DEFAULT_N[args.command]
-    if args.h is None:
-        args.h = _DEFAULT_H.get(args.command, 0.02)
-    if args.command == "suite" and args.preset is None and args.field is None:
-        args.preset = "torus-sin"  # suite iterates presets itself
-
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        passed, path, _ = _HANDLERS[args.command](args, out_dir)
+        if args.command == "suite":
+            passed, path, _ = _run_suite(args)
+        else:
+            passed, path, _ = _execute(args.command, args)
     except (ConfigError, FieldError, LevelSetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "explore" or args.command == "density":
-        return 0
     if not passed:
         print(f"check failed; see {path}", file=sys.stderr)
         return 1

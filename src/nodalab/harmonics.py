@@ -218,8 +218,7 @@ def sphere_decompose(P: SparsePolynomial, u):
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise FieldError("sphere_decompose requires unit vectors")
-    p = P.value(pts)
-    g2 = (P.gradient(pts) ** 2).sum(axis=1) - k**2 * p**2
+    p, g2 = spherical_values(P, pts)
     g2 = np.where(g2 < 0, np.where(g2 > -1e-12, 0.0, g2), g2)
     if np.any(g2 < 0):
         raise FieldError("spherical gradient norm lost more than round-off precision")
@@ -230,8 +229,11 @@ def sphere_decompose(P: SparsePolynomial, u):
 
 
 def spherical_values(P: SparsePolynomial, pts):
-    """Vectorized (p, |grad_S p|^2) on unit vectors, round-off clamped."""
+    """Restriction p and squared spherical gradient |grad_S p|^2 of the
+    k-homogeneous P at unit vectors, from |grad P|^2 = |grad_S p|^2 + k^2 p^2.
+
+    Round-off can leave |grad_S p|^2 slightly negative; callers clamp it.
+    """
     k = P.homogeneous_degree()
     p = P.value(pts)
-    g2 = (P.gradient(pts) ** 2).sum(axis=1) - k**2 * p**2
-    return p, np.maximum(g2, 0.0)
+    return p, (P.gradient(pts) ** 2).sum(axis=1) - k**2 * p**2

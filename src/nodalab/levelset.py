@@ -187,13 +187,14 @@ def mc_mean(domain, integrand, n_samples, seed, workers=1):
         v = np.asarray(integrand(domain.sample(size, rng)), dtype=float)
         return v.sum(), (v * v).sum()
 
-    results = _map_chunks(run, n_samples, seed, workers)
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    se = math.sqrt(var / n_samples)
-    return mean, se
+    return _mean_and_se(_map_chunks(run, n_samples, seed, workers), n_samples)
+
+
+def _mean_and_se(chunks, n_samples):
+    """Mean and standard error from per-chunk (sum, sum of squares, ...) in chunk order."""
+    mean = sum(c[0] for c in chunks) / n_samples
+    var = max(sum(c[1] for c in chunks) / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
 
 
 def thin_shell(field, t, g, domain, delta, n_samples, seed, workers=1):
@@ -271,24 +272,34 @@ def _weight_values(weight, pts, gradnorms=None):
     return np.full(len(pts), float(weight))
 
 
-def weighted_area(mesh, weight=None):
-    """Sum of facet area times weight at the facet centroid.
+def mesh_quadrature(mesh, weight=None):
+    """(sum(area * w), MESH_ERR_COEFF * h * sum(area * |w|)): the level-set
+    integral of `weight` by facet centroids and its first-order error bound.
 
-    `weight=None` uses the stored |grad f| samples, so the result is the
-    level-set integral of |grad f|.
+    `weight` is None (the stored |grad f| samples), a ScalarField, a callable
+    of the centroids, or a constant.
     """
     if mesh.is_empty():
-        return 0.0
+        return 0.0, 0.0
     w = _weight_values(weight, mesh.centroids, mesh.gradnorms)
-    return float((mesh.areas * w).sum())
+    return (float((mesh.areas * w).sum()),
+            MESH_ERR_COEFF * mesh.resolution * float((mesh.areas * np.abs(w)).sum()))
+
+
+def weighted_area(mesh, weight=None):
+    """Level-set integral of `weight` (default |grad f|) by `mesh_quadrature`."""
+    return mesh_quadrature(mesh, weight)[0]
 
 
 def weighted_area_error_bound(mesh, weight=None):
-    """Documented first-order bound: MESH_ERR_COEFF * h * sum(area * |w|)."""
-    if mesh.is_empty():
-        return 0.0
-    w = _weight_values(weight, mesh.centroids, mesh.gradnorms)
-    return MESH_ERR_COEFF * mesh.resolution * float((mesh.areas * np.abs(w)).sum())
+    """Error bound of `weighted_area` by `mesh_quadrature`."""
+    return mesh_quadrature(mesh, weight)[1]
+
+
+def _critical_floor(gradnorms):
+    """|grad f| below which a facet counts as near-critical:
+    NEAR_CRITICAL_FRACTION of the largest sample (0 for none)."""
+    return NEAR_CRITICAL_FRACTION * float(gradnorms.max()) if len(gradnorms) else 0.0
 
 
 def _facet_geometry(verts):
@@ -353,26 +364,45 @@ def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns, chunk=1
 
     Facets are subdivided to diameter `h_min` one chunk at a time, binned by
     centroid distance from `center` into the cells of `r_grid`, and each
-    callable in `weight_fns` (centroids, areas, gradnorms) -> contributions
-    is accumulated.  Returns (list of cumulative arrays, n_flagged).
+    callable in `weight_fns` (centroids, areas, gradnorms) -> weights is
+    integrated.  Sub-facets with |grad f| below the mesh's `_critical_floor`
+    are flagged.  Returns (list of cumulative arrays, n_flagged).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     bins = len(r_grid)
     sums = [np.zeros(bins) for _ in weight_fns]
-    scale = float(mesh.gradnorms.max()) if mesh.n_facets else 0.0
+    floor = _critical_floor(mesh.gradnorms)
     flagged = 0
     for start in range(0, mesh.n_facets, chunk):
         verts = subdivide_facets(mesh.vertices[start:start + chunk], h_min)
         areas, cents = _facet_geometry(verts)
         gradnorms = field.grad_norm(cents)
-        if scale > 0:
-            flagged += int((gradnorms < NEAR_CRITICAL_FRACTION * scale).sum())
+        if floor > 0:
+            flagged += int((gradnorms < floor).sum())
         radii = np.linalg.norm(cents - center, axis=1)
         idx = np.searchsorted(r_grid, radii, side="left")
         for s, fn in zip(sums, weight_fns):
             contrib = areas * fn(cents, areas, gradnorms)
             s += np.bincount(idx, weights=contrib, minlength=bins + 1)[:bins]
     return [np.cumsum(s) for s in sums], flagged
+
+
+def ball_radial_profiles(field, t, r_grid, center, h, h_min, weight_fns):
+    """Cumulative profiles of each weight in `weight_fns` over {f = t} within
+    the balls B(center, r_j), from one mesh of the largest ball.
+
+    Each weight is a callable (centroids, gradnorms, floor) -> weights, where
+    floor is the |grad f| below which `streamed_radial_sums` flags a sub-facet.
+    Returns (profiles, n_facets, n_flagged).
+    """
+    mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
+    if mesh.is_empty():
+        return [np.zeros(len(r_grid)) for _ in weight_fns], 0, 0
+    floor = _critical_floor(mesh.gradnorms)
+    profiles, flagged = streamed_radial_sums(
+        field, mesh, center, r_grid, h_min,
+        [lambda cents, areas, gradnorms, fn=fn: fn(cents, gradnorms, floor) for fn in weight_fns])
+    return profiles, mesh.n_facets, flagged
 
 
 def _clip_facets(verts, domain, h_min):
@@ -531,8 +561,8 @@ def extract(field, t, domain, h, h_min=None):
     keep = areas > 0
     verts, areas, centroids = verts[keep], areas[keep], centroids[keep]
     gradnorms = field.grad_norm(centroids)
-    scale = float(gradnorms.max()) if len(gradnorms) else 0.0
-    n_flagged = int((gradnorms < NEAR_CRITICAL_FRACTION * scale).sum()) if scale > 0 else 0
+    floor = _critical_floor(gradnorms)
+    n_flagged = int((gradnorms < floor).sum()) if floor > 0 else 0
     return LevelSetMesh(
         level=float(t),
         dimension=n,
@@ -589,15 +619,10 @@ def radial_profile(
 
     if h_min is None:
         h_min = h / 4.0
-    mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
-    if mesh.is_empty():
-        return np.zeros(len(r_grid)), {"mode": "mesh", "n_facets": 0, "n_flagged": 0}
-
-    def weight_fn(cents, areas, gradnorms):
-        return _weight_values(weight, cents, gradnorms)
-
-    (values,), flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, [weight_fn])
-    return values, {"mode": "mesh", "n_facets": mesh.n_facets, "n_flagged": flagged}
+    (values,), n_facets, flagged = ball_radial_profiles(
+        field, t, r_grid, center, h, h_min,
+        [lambda cents, gradnorms, floor: _weight_values(weight, cents, gradnorms)])
+    return values, {"mode": "mesh", "n_facets": n_facets, "n_flagged": flagged}
 
 
 # ---------------------------------------------------------------------------

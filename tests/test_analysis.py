@@ -2,6 +2,7 @@
 reports, and input validation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,22 @@ from nodalab.fields import (
     make_torus_eigenfunction,
 )
 from nodalab.levelset import Domain, LevelSetError
-from nodalab import analysis as an
+from nodalab import analysis as an, levelset
 
 TORUS_F = make_torus_eigenfunction([((1, 0), 0.0, 1.0)])
 TORUS = Domain.torus(2)
 X3 = SparsePolynomial(3, {(0, 0, 1): Fraction(1)})
 X2Y2 = SparsePolynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
+# f = x^2 - 1 with the Gaussian weight on [-4, 4]^2 (the hermite-gaussian preset)
+HERMITE = WeightedField(SparsePolynomial(2, {(2, 0): Fraction(1), (0, 0): Fraction(-1)}), GaussianWeight(2))
+HERMITE_BOX = Domain.box([-4.0, -4.0], [4.0, 4.0])
+
+
+def hermite_flux(t):
+    """int over {x^2 - 1 = t} in [-4, 4]^2 of |grad f| rho: two lines x = +-a
+    with |grad f| = 2a and rho = exp(-(a^2 + y^2) / 2)."""
+    a = math.sqrt(1.0 + t)
+    return 4.0 * a * math.exp(-0.5 * a * a) * math.sqrt(2.0 * math.pi) * math.erf(4.0 / math.sqrt(2.0))
 
 
 class TestDensity:
@@ -142,6 +153,30 @@ class TestDivergenceIdentity:
         assert rep.passed
         expected = -math.pi * (math.sqrt(1 - 0.04) - math.sqrt(1 - 0.36))
         assert rep.lhs == pytest.approx(expected, rel=5e-3)
+
+    def test_weighted_hermite_closed_form(self):
+        rep = an.divergence_identity_check(HERMITE, 0.5, 1.5, HERMITE_BOX, n_samples=2e5, seed=0, h=0.02)
+        assert rep.passed
+        assert rep.lhs == pytest.approx(hermite_flux(1.5) - hermite_flux(0.5), abs=3.0 * rep.lhs_error)
+
+    def test_slab_samples_do_not_depend_on_workers(self, monkeypatch):
+        # small chunks and a short thread switch interval widen the window in
+        # which worker threads could interleave an update of a shared count
+        monkeypatch.setattr(levelset, "_MC_CHUNK", 512)
+
+        def slab_samples(workers):
+            rep = an.divergence_identity_check(TORUS_F, 0.0, 0.5, TORUS, n_samples=50_000, h=0.05,
+                                               workers=workers)
+            return rep.details["slab_samples"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial = slab_samples(1)
+            threaded = [slab_samples(2) for _ in range(50)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [serial] * 50
 
     def test_empty_slab_raises(self):
         with pytest.raises(LevelSetError):

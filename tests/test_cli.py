@@ -2,6 +2,7 @@
 and byte-level determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,11 +128,42 @@ class TestOutputs:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_reports_do_not_depend_on_workers(self, tmp_path):
-        args = ["curvature", "--preset", "torus-sin", "--no-plot"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(args + ["--workers", "1", "--out", str(out_a)]) == 0
-        assert run_cli(args + ["--workers", "2", "--out", str(out_b)]) == 0
-        assert (out_a / "curvature.json").read_bytes() == (out_b / "curvature.json").read_bytes()
+        for args in (
+            ["curvature", "--preset", "torus-sin"],
+            # two Monte Carlo chunks, so --workers 2 runs them on two threads
+            ["divergence", "--preset", "torus-sin", "--N", "2e5"],
+        ):
+            out_a, out_b = tmp_path / args[0] / "a", tmp_path / args[0] / "b"
+            assert run_cli(args + ["--no-plot", "--workers", "1", "--out", str(out_a)]) == 0
+            assert run_cli(args + ["--no-plot", "--workers", "2", "--out", str(out_b)]) == 0
+            name = f"{args[0]}.json"
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_weighted_divergence_from_field_json(self, tmp_path):
+        doc = {
+            "field": {
+                "kind": "weighted",
+                "base": {"kind": "polynomial", "dimension": 2, "terms": [
+                    {"exponents": [2, 0], "coefficient": "1"},
+                    {"exponents": [0, 0], "coefficient": "-1"},
+                ]},
+                "weight": {"kind": "gaussian", "dimension": 2},
+            },
+            "domain": {"kind": "box", "lo": [-4, -4], "hi": [4, 4]},
+        }
+        path = tmp_path / "hermite.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli([
+            "divergence", "--field", str(path), "--t1", "0.5", "--t2", "1.5",
+            "--N", "2e5", "--h", "0.02", "--workers", "2", "--no-plot", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        ident = json.loads((tmp_path / "out" / "divergence.json").read_text())["identity"]
+        assert ident["passed"] is True
+        # flux of |grad f| rho through the lines x = +-sqrt(1 + t), t = 1.5 minus t = 0.5
+        flux = [4.0 * a * math.exp(-0.5 * a * a) * math.sqrt(2.0 * math.pi) * math.erf(4.0 / math.sqrt(2.0))
+                for a in (math.sqrt(2.5), math.sqrt(1.5))]
+        assert ident["lhs"] == pytest.approx(flux[0] - flux[1], abs=3.0 * ident["lhs_error"])
 
     def test_divergence_preset_defaults(self, tmp_path):
         code = run_cli([
