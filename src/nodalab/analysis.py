@@ -228,11 +228,11 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
 
     def run(rng, size):
         pts = domain.sample(size, rng)
-        vals = base.value(pts)
         if flavor == "sigma":
-            w = np.ones(size)
+            vals, w = base.value(pts), np.ones(size)
         else:
-            w = base.grad_norm(pts) ** 2
+            vals, g = base.jet(pts, 1)
+            w = np.linalg.norm(g, axis=-1) ** 2
             if flavor == "weighted":
                 w = w * field.weight_values(pts)
         idx = np.floor((vals - vmin) / width).astype(np.int64)
@@ -302,12 +302,11 @@ def unimodality_check(d: DensityEstimate) -> UnimodalityReport:
 # Curvature and level-set derivative identities
 
 
-def _level_curvature(field, pts, g):
-    """Geometry of the level sets of f through regular points `pts`, with
-    g = grad f(pts): (unit normal N, |grad f|, Hess f(N, N), mean curvature H,
-    Delta f), where H = -(Delta f - Hess f(N, N)) / |grad f|."""
+def _level_curvature(field, pts, g, hess):
+    """Geometry of the level sets of f through regular points `pts`, with g, hess
+    = grad f, Hess f there: (unit normal N, |grad f|, Hess f(N, N), mean
+    curvature H, Delta f), where H = -(Delta f - Hess f(N, N)) / |grad f|."""
     norms = np.linalg.norm(g, axis=1)
-    hess = field.hessian(pts)
     lap = field.laplacian(pts)
     N = g / norms[:, None]
     hNN = np.einsum("ni,nij,nj->n", N, hess, N)
@@ -335,14 +334,14 @@ def curvature_identity_check(field, n_points=1000, seed=0, domain=None):
         pts = domain.sample(size, _chunk_rng(seed, chunk))
         chunk += 1
         trials += size
-        g = base.gradient(pts)
+        _, g, hess = base.jet(pts, 2)
         norms = np.linalg.norm(g, axis=1)
         scale = norms.max() if norms.max() > 0 else 1.0
         regular = norms >= 1e-6 * scale
         if not regular.any():
             continue
         pts = pts[regular]
-        _, norms, hNN, H, lap = _level_curvature(base, pts, g[regular])
+        _, norms, hNN, H, lap = _level_curvature(base, pts, g[regular], hess[regular])
         H_rho = norms * H - hNN  # <grad |grad f|, N> = Hess f(N, N)
         resid = np.abs(H_rho + lap)
         max_resid = max(max_resid, float(resid.max()))
@@ -430,8 +429,9 @@ def levelset_derivative_check(field, rho, t, dt, domain=None, h=0.01, seed=0):
     lhs_err = (e_plus + e_minus) / (2.0 * dt)
 
     def h_rho_over_gradnorm(pts):
-        N, norms, _, H, _ = _level_curvature(base, pts, base.gradient(pts))
-        return (rho_f.value(pts) * H - np.einsum("ni,ni->n", rho_f.gradient(pts), N)) / norms
+        N, norms, _, H, _ = _level_curvature(base, pts, *base.jet(pts, 2)[1:])
+        rho, grad_rho = rho_f.jet(pts, 1)
+        return (rho * H - np.einsum("ni,ni->n", grad_rho, N)) / norms
 
     flux, rhs_err = mesh_quadrature(extract(base, t, domain, h), h_rho_over_gradnorm)
     rhs = -flux

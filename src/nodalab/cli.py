@@ -137,9 +137,11 @@ def _parse_grid(spec):
 
 
 def _parse_count(text):
+    """argparse type of --N: a finite whole number >= 1, such as 2e5.  Only an
+    `ArgumentTypeError` (or `ValueError`) becomes a usage error, exit code 2."""
     v = float(text)
-    if v < 1:
-        raise ConfigError(f"bad count {text!r}")
+    if not (math.isfinite(v) and v >= 1 and v == int(v)):
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: expected a whole number >= 1")
     return int(v)
 
 

@@ -6,6 +6,14 @@ eigenfunctions on the flat torus and on boxes (Dirichlet / Neumann),
 and weighted fields pairing a base field with a strictly positive
 weight.  All fields are immutable after construction and evaluation is
 pure, so concurrent read-only use is safe.
+
+Each family evaluates through one kernel, `jet(x, order)`, which returns
+the value, gradient and Hessian up to `order` from shared intermediates:
+one table of coordinate powers for a polynomial, one set of cos/sin
+phases for a torus field, the per-coordinate factors phi, phi', phi''
+combined by the product rule for a box field.  `value`, `gradient` and
+`hessian` are views of it; a caller that needs two orders at the same
+points asks for one jet.
 """
 
 from __future__ import annotations
@@ -54,20 +62,35 @@ class FieldSample:
 class ScalarField:
     """A differentiable scalar field on R^n (or the unit torus cell).
 
-    Subclasses implement `value`, `gradient` and `hessian`, each accepting
-    a single point (n,) or a batch (N, n) and vectorizing over the batch.
+    Each family implements `_jet`, which returns the value, gradient and
+    Hessian up to a given order from one set of intermediates.  `jet` and
+    its views `value`, `gradient` and `hessian` accept a single point (n,)
+    or a batch (N, n) and vectorize over the batch.
     """
 
     dimension: int
 
-    def value(self, x):
+    def jet(self, x, order):
+        """(value,), (value, gradient) or (value, gradient, hessian) at x,
+        for order 0, 1 or 2."""
+        if order not in (0, 1, 2):
+            raise FieldError(f"jet order must be 0, 1 or 2, got {order!r}")
+        pts, single = _as_points(x, self.dimension)
+        out = self._jet(pts, order)
+        return tuple(o[0] for o in out) if single else tuple(out)
+
+    def _jet(self, pts, order):
+        """[value, gradient, hessian][:order + 1] at an (N, n) batch."""
         raise NotImplementedError
+
+    def value(self, x):
+        return self.jet(x, 0)[0]
 
     def gradient(self, x):
-        raise NotImplementedError
+        return self.jet(x, 1)[1]
 
     def hessian(self, x):
-        raise NotImplementedError
+        return self.jet(x, 2)[2]
 
     def laplacian(self, x):
         hess = self.hessian(x)
@@ -80,13 +103,35 @@ class ScalarField:
         pts, single = _as_points(point, self.dimension)
         if not single:
             raise FieldError("eval takes a single point; use value/gradient for batches")
+        value, gradient, hessian = self.jet(pts, 2)
         return FieldSample(
             point=pts[0],
-            value=float(self.value(pts)[0]),
-            gradient=np.asarray(self.gradient(pts)[0], dtype=float),
-            hessian=np.asarray(self.hessian(pts)[0], dtype=float),
+            value=float(value[0]),
+            gradient=np.asarray(gradient[0], dtype=float),
+            hessian=np.asarray(hessian[0], dtype=float),
             laplacian=float(self.laplacian(pts)[0]),
         )
+
+
+# `perfbench/spans.py` wraps `value`, `gradient` and `hessian` in each family's
+# own class dict, so every family below binds these views itself.
+_VIEWS = (ScalarField.value, ScalarField.gradient, ScalarField.hessian)
+
+
+def _assemble(partial, n, order):
+    """[value, gradient, Hessian][:order + 1] from `partial(alpha)`, the
+    derivative d^alpha f at every point for an integer multi-index alpha."""
+    eye = np.eye(n, dtype=np.int64)
+    out = [partial(np.zeros(n, dtype=np.int64))]
+    if order >= 1:
+        out.append(np.stack([partial(eye[i]) for i in range(n)], axis=-1))
+    if order >= 2:
+        hess = np.empty(out[0].shape + (n, n))
+        for i in range(n):
+            for j in range(i, n):
+                hess[:, i, j] = hess[:, j, i] = partial(eye[i] + eye[j])
+        out.append(hess)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +191,6 @@ class SparsePolynomial(ScalarField):
             clean[exps] = coeff
         self.terms = {e: c for e, c in sorted(clean.items()) if c != 0}
         self._cache = None
-        self._grads = None
-        self._hess = None
 
     # -- constructors -------------------------------------------------------
 
@@ -258,42 +301,30 @@ class SparsePolynomial(ScalarField):
             self._cache = (exps, coeffs)
         return self._cache
 
-    def value(self, x):
-        pts, single = _as_points(x, self.dimension)
+    def _jet(self, pts, order):
         exps, coeffs = self._arrays()
-        if len(coeffs) == 0:
-            out = np.zeros(len(pts))
-        else:
-            powers = pts[:, None, :] ** exps[None, :, :]
-            out = powers.prod(axis=2) @ coeffs
-        return out[0] if single else out
+        # table[d, k] = x_d^k for k up to the largest exponent, by repeated multiplication
+        table = np.ones((self.dimension, int(exps.max(initial=0)) + 1, len(pts)))
+        for k in range(1, table.shape[1]):
+            np.multiply(table[:, k - 1], pts.T, out=table[:, k])
 
-    def _gradient_polys(self):
-        if self._grads is None:
-            self._grads = tuple(self.diff(i) for i in range(self.dimension))
-        return self._grads
+        def partial(alpha):
+            # sum_t c_t prod_d (e_td)_(alpha_d) x_d^(e_td - alpha_d), with the
+            # falling factorial (e)_a, which vanishes when a > e
+            w = coeffs.copy()
+            for d, a in enumerate(alpha):
+                for j in range(a):
+                    w *= exps[:, d] - j
+            live = np.flatnonzero(w)
+            low = np.maximum(exps[live] - alpha, 0)
+            prod = table[0, low[:, 0]]
+            for d in range(1, self.dimension):
+                prod *= table[d, low[:, d]]
+            return w[live] @ prod
 
-    def gradient(self, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.stack([g.value(pts) for g in self._gradient_polys()], axis=-1)
-        return out[0] if single else out
+        return _assemble(partial, self.dimension, order)
 
-    def _hessian_polys(self):
-        if self._hess is None:
-            grads = self._gradient_polys()
-            n = self.dimension
-            self._hess = {(i, j): grads[i].diff(j) for i in range(n) for j in range(i, n)}
-        return self._hess
-
-    def hessian(self, x):
-        pts, single = _as_points(x, self.dimension)
-        n = self.dimension
-        out = np.empty((len(pts), n, n))
-        for (i, j), poly in self._hessian_polys().items():
-            v = poly.value(pts)
-            out[:, i, j] = v
-            out[:, j, i] = v
-        return out[0] if single else out
+    value, gradient, hessian = _VIEWS
 
     def __repr__(self):
         parts = [f"{c}*x^{e}" for e, c in self.terms.items()]
@@ -394,64 +425,32 @@ class TrigEigenfunction(ScalarField):
         d2fac = -((math.pi * karr) ** 2) * fac
         return fac, dfac, d2fac
 
-    def value(self, x):
-        pts, single = _as_points(x, self.dimension)
+    def _jet(self, pts, order):
         if self.flavor == TORUS:
             c, s = self._torus_parts(pts)
-            out = c @ self._a + s @ self._b
-        else:
-            out = np.zeros(len(pts))
-            for k, amp in self.modes:
-                fac, _, _ = self._box_factors(pts, k)
-                out += amp * fac.prod(axis=1)
-        return out[0] if single else out
+            out = [None]
+            if order >= 1:
+                # d/dx_i of a cos + b sin = 2 pi m_i (-a sin + b cos)
+                out.append((c * self._b[None, :] - s * self._a[None, :]) @ (TWO_PI * self._m))
+            if order >= 2:
+                amp = -(c * self._a[None, :] + s * self._b[None, :])  # (N,K)
+                mm = TWO_PI**2 * np.einsum("ki,kj->kij", self._m, self._m)
+                out.append(np.einsum("nk,kij->nij", amp, mm))
+            # the value last, so the gradient's (N, K) temporaries are freed before
+            # the long-lived (N,) value array is allocated (lower peak RSS)
+            out[0] = c @ self._a + s @ self._b
+            return out
+        cols = np.arange(self.dimension)
+        total = [0.0] * (order + 1)
+        for k, amp in self.modes:
+            # product rule: d^alpha of amp prod_d phi(pi k_d x_d) is amp prod_d phi^(alpha_d)
+            fac = np.stack(self._box_factors(pts, k)[: order + 1])
+            jet = _assemble(lambda alpha: amp * fac[alpha, :, cols].prod(axis=0),
+                            self.dimension, order)
+            total = [t + j for t, j in zip(total, jet)]
+        return total
 
-    def gradient(self, x):
-        pts, single = _as_points(x, self.dimension)
-        n = self.dimension
-        if self.flavor == TORUS:
-            c, s = self._torus_parts(pts)
-            # d/dx_i of a cos + b sin = 2 pi m_i (-a sin + b cos)
-            out = (c * self._b[None, :] - s * self._a[None, :]) @ (TWO_PI * self._m)
-        else:
-            out = np.zeros((len(pts), n))
-            for k, amp in self.modes:
-                fac, dfac, _ = self._box_factors(pts, k)
-                prod = fac.prod(axis=1)
-                for i in range(n):
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        others = np.where(fac[:, i] != 0, prod / fac[:, i], 0.0)
-                    zero = fac[:, i] == 0
-                    if zero.any():
-                        cols = [j for j in range(n) if j != i]
-                        others[zero] = fac[np.ix_(zero.nonzero()[0], cols)].prod(axis=1) if cols else 1.0
-                    out[:, i] += amp * dfac[:, i] * others
-        return out[0] if single else out
-
-    def hessian(self, x):
-        pts, single = _as_points(x, self.dimension)
-        n = self.dimension
-        if self.flavor == TORUS:
-            c, s = self._torus_parts(pts)
-            amp = -(c * self._a[None, :] + s * self._b[None, :])  # (N,K)
-            mm = TWO_PI**2 * np.einsum("ki,kj->kij", self._m, self._m)
-            out = np.einsum("nk,kij->nij", amp, mm)
-        else:
-            out = np.zeros((len(pts), n, n))
-            for k, amp in self.modes:
-                fac, dfac, d2fac = self._box_factors(pts, k)
-                for i in range(n):
-                    for j in range(i, n):
-                        cols = [q for q in range(n) if q not in (i, j)]
-                        others = fac[:, cols].prod(axis=1) if cols else np.ones(len(pts))
-                        if i == j:
-                            v = amp * d2fac[:, i] * others
-                        else:
-                            v = amp * dfac[:, i] * dfac[:, j] * others
-                        out[:, i, j] += v
-                        if i != j:
-                            out[:, j, i] += v
-        return out[0] if single else out
+    value, gradient, hessian = _VIEWS
 
     def laplacian(self, x):
         # exact eigenvalue relation
@@ -490,23 +489,17 @@ class GaussianWeight(ScalarField):
     def __init__(self, dimension):
         self.dimension = int(dimension)
 
-    def value(self, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.exp(-0.5 * (pts**2).sum(axis=1))
-        return out[0] if single else out
-
-    def gradient(self, x):
-        pts, single = _as_points(x, self.dimension)
+    def _jet(self, pts, order):
         rho = np.exp(-0.5 * (pts**2).sum(axis=1))
-        out = -pts * rho[:, None]
-        return out[0] if single else out
+        out = [rho]
+        if order >= 1:
+            out.append(-pts * rho[:, None])
+        if order >= 2:
+            eye = np.eye(self.dimension)
+            out.append((np.einsum("ni,nj->nij", pts, pts) - eye[None, :, :]) * rho[:, None, None])
+        return out
 
-    def hessian(self, x):
-        pts, single = _as_points(x, self.dimension)
-        rho = np.exp(-0.5 * (pts**2).sum(axis=1))
-        eye = np.eye(self.dimension)
-        out = (np.einsum("ni,nj->nij", pts, pts) - eye[None, :, :]) * rho[:, None, None]
-        return out[0] if single else out
+    value, gradient, hessian = _VIEWS
 
 
 class GradientNormField(ScalarField):
@@ -519,21 +512,18 @@ class GradientNormField(ScalarField):
         self.base = base
         self.dimension = base.dimension
 
-    def value(self, x):
-        return self.base.grad_norm(x)
-
-    def gradient(self, x):
-        pts, single = _as_points(x, self.dimension)
-        g = self.base.gradient(pts)
-        h = self.base.hessian(pts)
+    def _jet(self, pts, order):
+        if order > 1:
+            raise NotImplementedError("second derivatives of |grad f| are not provided")
+        _, g, *hess = self.base.jet(pts, order + 1)
         norm = np.linalg.norm(g, axis=-1)
-        hg = np.einsum("nij,nj->ni", h, g)
+        if order == 0:
+            return [norm]
+        hg = np.einsum("nij,nj->ni", hess[0], g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(norm[:, None] > 0, hg / norm[:, None], 0.0)
-        return out[0] if single else out
+            return [norm, np.where(norm[:, None] > 0, hg / norm[:, None], 0.0)]
 
-    def hessian(self, x):
-        raise NotImplementedError("second derivatives of |grad f| are not provided")
+    value, gradient = _VIEWS[:2]
 
 
 class ConstantWeight(ScalarField):
@@ -543,20 +533,12 @@ class ConstantWeight(ScalarField):
         self.dimension = int(dimension)
         self.c = float(c)
 
-    def value(self, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.full(len(pts), self.c)
-        return out[0] if single else out
+    def _jet(self, pts, order):
+        shape = (len(pts),)
+        return [np.full(shape, self.c)] + [np.zeros(shape + (self.dimension,) * k)
+                                           for k in range(1, order + 1)]
 
-    def gradient(self, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.zeros((len(pts), self.dimension))
-        return out[0] if single else out
-
-    def hessian(self, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.zeros((len(pts), self.dimension, self.dimension))
-        return out[0] if single else out
+    value, gradient, hessian = _VIEWS
 
 
 class WeightedField:

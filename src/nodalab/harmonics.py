@@ -235,5 +235,5 @@ def spherical_values(P: SparsePolynomial, pts):
     Round-off can leave |grad_S p|^2 slightly negative; callers clamp it.
     """
     k = P.homogeneous_degree()
-    p = P.value(pts)
-    return p, (P.gradient(pts) ** 2).sum(axis=1) - k**2 * p**2
+    p, g = P.jet(pts, 1)
+    return p, (g**2).sum(axis=1) - k**2 * p**2

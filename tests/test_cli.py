@@ -1,6 +1,7 @@
 """Command-line front end: argument handling, report files, exit codes,
 and byte-level determinism."""
 
+import argparse
 import json
 import math
 
@@ -27,7 +28,7 @@ class TestParsing:
 
     def test_count_parsing(self):
         assert cli._parse_count("1e5") == 100_000
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_count("0.5")
 
     def test_config_hash_is_stable(self):
@@ -45,6 +46,12 @@ class TestExitCodes:
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         assert run_cli(["density", "--bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("count", ["0.5", "1.5", "1e400", "nan"])
+    def test_bad_count_is_config_error(self, tmp_path, capsys, count):
+        argv = ["density", "--preset", "torus-sin", "--N", count, "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert "bad count" in capsys.readouterr().err
 
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([

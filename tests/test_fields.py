@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalab.fields import (
+    BOX_DIRICHLET,
+    BOX_NEUMANN,
     ConstantWeight,
     FieldError,
     FieldSample,
     GaussianWeight,
     GradientNormField,
     SparsePolynomial,
+    TrigEigenfunction,
     WeightedField,
     field_from_json,
     field_to_json,
     make_box_eigenfunction,
     make_torus_eigenfunction,
 )
+from nodalab.harmonics import random_solid_harmonic
 
 RNG = np.random.default_rng(1234)
 
@@ -33,6 +37,21 @@ def _fd_gradient(field, x, eps=1e-6):
         e[i] = eps
         g[i] = (field.value(x + e) - field.value(x - e)) / (2 * eps)
     return g
+
+
+def _fd_hessian(field, x, eps=1e-6):
+    """Central differences of the exact gradient, one column per coordinate."""
+    cols = []
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = eps
+        cols.append((field.gradient(x + e) - field.gradient(x - e)) / (2 * eps))
+    return np.stack(cols, axis=1)
+
+
+MULTI_TORUS = make_torus_eigenfunction([((2, 1), 0.3, 1.0), ((1, -2), -0.7, 0.4), ((2, -1), 0.0, 1.1)])
+DIRICHLET_3D = TrigEigenfunction(BOX_DIRICHLET, [((1, 2, 2), 0.7), ((2, 2, 1), -1.3)], 3)
+NEUMANN_3D = TrigEigenfunction(BOX_NEUMANN, [((0, 0, 3), 1.0), ((2, 2, 1), 0.4)], 3)
 
 
 @st.composite
@@ -68,6 +87,22 @@ class TestSparsePolynomial:
         assert np.allclose(np.trace(hess, axis1=1, axis2=2), p.laplacian(pts), rtol=1e-12)
         for x in pts[:5]:
             assert np.allclose(p.gradient(x), _fd_gradient(p, x), atol=1e-6)
+
+    def test_jet_matches_exact_rational_arithmetic(self):
+        # dyadic points are exact in floating point, so the Fraction sums are
+        # the true value and derivatives there
+        P = random_solid_harmonic(3, 5, 0)
+        pts = RNG.integers(-64, 65, size=(40, 3)) / 64
+        polys = [[P], [P.diff(i) for i in range(3)],
+                 [[P.diff(i).diff(j) for j in range(3)] for i in range(3)]]
+        for order, (got, exact) in enumerate(zip(P.jet(pts, 2), polys)):
+            exact = np.array(exact, dtype=object)
+            for x, g in zip(pts, got):
+                for index, poly in np.ndenumerate(exact):
+                    true = sum(c * math.prod(Fraction(v) ** e for v, e in zip(x, exps))
+                               for exps, c in poly.terms.items())
+                    scale = sum(abs(float(c)) for c in poly.terms.values())
+                    assert abs(np.atleast_1d(g)[index] - float(true)) <= 1e-13 * scale, (order, index)
 
     @given(small_polynomials())
     @settings(max_examples=40, deadline=None)
@@ -148,6 +183,32 @@ class TestTrigEigenfunctions:
         for x in RNG.uniform(0.1, 0.9, size=(5, 2)):
             assert np.allclose(f.gradient(x), _fd_gradient(f, x), atol=1e-6)
 
+    @pytest.mark.parametrize("field", [DIRICHLET_3D, NEUMANN_3D], ids=["dirichlet", "neumann"])
+    def test_box_derivatives_where_a_factor_vanishes(self, field):
+        # x_d = j / k_d zeroes the Dirichlet factor sin(pi k_d x_d) (exactly at 0)
+        # and the derivative factor of the Neumann cos(pi k_d x_d)
+        dirichlet = field.flavor == BOX_DIRICHLET
+        axis = [0.0, 1 / 3, 0.5, 1.0, 0.3]
+        pts = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+
+        def factor(k, x, order):
+            arg = math.pi * k * x
+            base = [math.sin, math.cos, lambda a: -math.sin(a), lambda a: -math.cos(a)]
+            return (math.pi * k) ** order * base[order + (0 if dirichlet else 1)](arg)
+
+        for x, g, h in zip(pts, field.gradient(pts), field.hessian(pts)):
+            exact_g = np.zeros(3)
+            exact_h = np.zeros((3, 3))
+            for k, amp in field.modes:
+                for i in range(3):
+                    orders = [int(d == i) for d in range(3)]
+                    exact_g[i] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(3))
+                    for j in range(3):
+                        orders = [int(d == i) + int(d == j) for d in range(3)]
+                        exact_h[i, j] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(3))
+            assert np.allclose(g, exact_g, rtol=0, atol=1e-12)
+            assert np.allclose(h, exact_h, rtol=0, atol=1e-11)
+
 
 class TestWeightsAndComposites:
     def test_gradient_norm_field_value(self):
@@ -187,6 +248,47 @@ class TestWeightsAndComposites:
                 hessian=np.eye(2),
                 laplacian=5.0,
             )
+
+
+class TestJets:
+    @pytest.mark.parametrize(
+        "field, lo, hi",
+        [(MULTI_TORUS, 0, 1), (DIRICHLET_3D, 0, 1), (NEUMANN_3D, 0, 1), (GaussianWeight(3), -2, 2)],
+        ids=["torus", "dirichlet", "neumann", "gaussian"],
+    )
+    def test_hessian_matches_differences_of_gradient(self, field, lo, hi):
+        for x in RNG.uniform(lo, hi, size=(5, field.dimension)):
+            hess = field.hessian(x)
+            assert np.allclose(hess, _fd_hessian(field, x), rtol=0, atol=1e-6 * (1 + np.abs(hess).max()))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            SparsePolynomial(3, {(3, 0, 1): Fraction(1, 3), (0, 2, 2): 0.7, (0, 0, 0): 5}),
+            MULTI_TORUS,
+            DIRICHLET_3D,
+            NEUMANN_3D,
+            GaussianWeight(2),
+            ConstantWeight(3, 1.5),
+            GradientNormField(MULTI_TORUS),
+        ],
+        ids=["polynomial", "torus", "dirichlet", "neumann", "gaussian", "constant", "gradnorm"],
+    )
+    def test_jet_matches_value_gradient_hessian(self, field):
+        pts = RNG.uniform(-0.9, 0.9, size=(30, field.dimension))
+        order = 1 if isinstance(field, GradientNormField) else 2
+        views = (field.value, field.gradient, field.hessian)[: order + 1]
+        jet = field.jet(pts, order)
+        assert len(jet) == order + 1
+        for got, view in zip(jet, views):
+            assert np.array_equal(got, view(pts))
+        # a single point gives the batch's first entry (BLAS may sum it in another order)
+        for got, single in zip(jet, field.jet(pts[0], order)):
+            assert np.shape(single) == got.shape[1:]
+            assert np.allclose(got[0], single, rtol=1e-14, atol=1e-14)
+        assert len(field.jet(pts, 0)) == 1
+        with pytest.raises(FieldError):
+            field.jet(pts, 3)
 
 
 class TestJsonRoundTrip:
