@@ -240,21 +240,13 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
         in_range = (vals >= vmin) & (vals <= vmax)
         iw = np.where(in_range, w, 0.0)
         hist = np.bincount(idx, weights=iw, minlength=bins)
-        return w.sum(), hist, np.bincount(idx, weights=iw * iw, minlength=bins)
+        return hist, np.bincount(idx, weights=iw * iw, minlength=bins), w.sum()
 
-    sums = np.zeros(bins)
-    sums_sq = np.zeros(bins)
-    total_w = 0.0
-    for chunk_w, chunk_sums, chunk_sq in _map_chunks(run, n_samples, seed, workers):
-        total_w += chunk_w
-        sums += chunk_sums
-        sums_sq += chunk_sq
-
-    mean = sums / n_samples
-    var = np.maximum(sums_sq / n_samples - mean**2, 0.0)
+    chunks = _map_chunks(run, n_samples, seed, workers)
+    mean, se = _mean_and_se(chunks, n_samples)
     raw = vol * mean / width
-    raw_se = vol * np.sqrt(var / n_samples) / width
-    mu_M = vol * total_w / n_samples
+    raw_se = vol * se / width
+    mu_M = vol * sum(c[2] for c in chunks) / n_samples
     return DensityEstimate(
         edges=edges,
         density=raw / mu_M,
@@ -653,16 +645,9 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
         terms = dens[:, None] * (p[:, None] >= eps_grid[None, :])
         return terms.sum(axis=0), (terms**2).sum(axis=0)
 
-    sums = np.zeros(len(eps_grid))
-    sums_sq = np.zeros(len(eps_grid))
-    for chunk_sums, chunk_sq in _map_chunks(run, n_samples, seed):
-        sums += chunk_sums
-        sums_sq += chunk_sq
-
-    mean = sums / n_samples
-    var = np.maximum(sums_sq / n_samples - mean**2, 0.0)
+    mean, se = _mean_and_se(_map_chunks(run, n_samples, seed), n_samples)
     values = eps_grid**e_exp * area * mean
-    ses = eps_grid**e_exp * area * np.sqrt(var / n_samples)
+    ses = eps_grid**e_exp * area * se
     return _monotone_report(eps_grid, values, ses, "non-increasing")
 
 

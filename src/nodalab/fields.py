@@ -320,7 +320,12 @@ class SparsePolynomial(ScalarField):
             prod = table[0, low[:, 0]]
             for d in range(1, self.dimension):
                 prod *= table[d, low[:, d]]
-            return w[live] @ prod
+            # term by term, in a fixed order: a BLAS product, or einsum at a single
+            # point, sums in an order (and so to last bits) set by the batch size
+            out = np.zeros(len(pts))
+            for c, row in zip(w[live], prod):
+                out += c * row
+            return out
 
         return _assemble(partial, self.dimension, order)
 

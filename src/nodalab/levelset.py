@@ -5,6 +5,8 @@ marcher for 2D and 3D: each cell splits into the n! simplices of the axis
 permutations, and each distinct crossing grid edge is bisected once and
 shared by the facets that meet it.  Domain clipping uses recursive facet
 subdivision and centroid classification, an O(h) geometric error model.
+Radial profiles refine facets to diameter h_min in closed form, from one
+barycentric sub-facet centroid table per (vertices per facet, depth).
 A coarea thin-shell Monte Carlo estimator covers any dimension.
 """
 
@@ -191,10 +193,10 @@ def mc_mean(domain, integrand, n_samples, seed, workers=1):
 
 
 def _mean_and_se(chunks, n_samples):
-    """Mean and standard error from per-chunk (sum, sum of squares, ...) in chunk order."""
+    """Elementwise mean and standard error from per-chunk (sum, sum of squares, ...) in chunk order."""
     mean = sum(c[0] for c in chunks) / n_samples
-    var = max(sum(c[1] for c in chunks) / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
+    var = np.maximum(sum(c[1] for c in chunks) / n_samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / n_samples)
 
 
 def thin_shell(field, t, g, domain, delta, n_samples, seed, workers=1):
@@ -345,63 +347,60 @@ def _split_facets(verts):
     )
 
 
-def subdivide_facets(verts, h_min):
-    """Recursively split facets until every diameter is at most h_min."""
-    out = []
-    work = verts
-    while len(work):
-        diam = _facet_diameters(work)
-        done = diam <= h_min
-        out.append(work[done])
-        work = work[~done]
-        if len(work):
-            work = _split_facets(work)
-    return np.concatenate(out) if out else verts[:0]
+def _subfacet_centroids(nv, depth):
+    """Barycentric centroids of the 2^((nv-1) depth) sub-facets that `depth`
+    rounds of `_split_facets` cut from a facet with nv vertices."""
+    verts = np.eye(nv)[None]
+    for _ in range(depth):
+        verts = _split_facets(verts)
+    return verts.mean(axis=1)
 
 
-def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns, chunk=10_000):
-    """Cumulative radial profiles without materializing the refined mesh.
+def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns):
+    """Cumulative radial profiles of the mesh refined to facet diameter h_min.
 
-    Facets are subdivided to diameter `h_min` one chunk at a time, binned by
-    centroid distance from `center` into the cells of `r_grid`, and each
-    callable in `weight_fns` (centroids, areas, gradnorms) -> weights is
-    integrated.  Sub-facets with |grad f| below the mesh's `_critical_floor`
-    are flagged.  Returns (list of cumulative arrays, n_flagged).
-    """
+    A facet of depth L (the least L >= 0 with diam / 2^L <= h_min) splits into
+    2^((n-1)L) congruent sub-facets: centroids `_subfacet_centroids(n, L)`,
+    area / 2^((n-1)L) each.  None is built; the centroids go, at most
+    _MC_CHUNK at a time, to `field.grad_norm` and into the `r_grid` cells by
+    distance from `center`, and each callable in `weight_fns` (centroids,
+    gradnorms, floor) -> weights is integrated; |grad f| below floor, the
+    mesh's `_critical_floor`, is flagged.  Returns (profiles, n_flagged)."""
     r_grid = np.asarray(r_grid, dtype=float)
     bins = len(r_grid)
     sums = [np.zeros(bins) for _ in weight_fns]
     floor = _critical_floor(mesh.gradnorms)
     flagged = 0
-    for start in range(0, mesh.n_facets, chunk):
-        verts = subdivide_facets(mesh.vertices[start:start + chunk], h_min)
-        areas, cents = _facet_geometry(verts)
-        gradnorms = field.grad_norm(cents)
-        if floor > 0:
-            flagged += int((gradnorms < floor).sum())
-        radii = np.linalg.norm(cents - center, axis=1)
-        idx = np.searchsorted(r_grid, radii, side="left")
-        for s, fn in zip(sums, weight_fns):
-            contrib = areas * fn(cents, areas, gradnorms)
-            s += np.bincount(idx, weights=contrib, minlength=bins + 1)[:bins]
+    nv = mesh.vertices.shape[1]
+    # L = ceil(log2(diam / h_min)) without round-off: diam / h_min = m 2^e, m in [0.5, 1)
+    mant, expo = np.frexp(_facet_diameters(mesh.vertices) / h_min)
+    depths = np.maximum(expo - (mant == 0.5), 0)
+    for depth in np.unique(depths).tolist():
+        table = _subfacet_centroids(nv, depth)
+        verts = mesh.vertices[depths == depth]
+        areas = np.ldexp(mesh.areas[depths == depth], -(nv - 1) * depth)
+        # whole tables of several facets per batch, or slices of one facet's table
+        step = max(1, _MC_CHUNK // len(table))
+        for f0, s0 in itertools.product(range(0, len(verts), step), range(0, len(table), _MC_CHUNK)):
+            part = table[s0:s0 + _MC_CHUNK]
+            cents = (part @ verts[f0:f0 + step]).reshape(-1, mesh.dimension)
+            gradnorms = field.grad_norm(cents)
+            flagged += int((gradnorms < floor).sum())  # none when floor is 0
+            idx = np.searchsorted(r_grid, np.linalg.norm(cents - center, axis=1), side="left")
+            for s, fn in zip(sums, weight_fns):
+                contrib = np.repeat(areas[f0:f0 + step], len(part)) * fn(cents, gradnorms, floor)
+                s += np.bincount(idx, weights=contrib, minlength=bins + 1)[:bins]
     return [np.cumsum(s) for s in sums], flagged
 
 
 def ball_radial_profiles(field, t, r_grid, center, h, h_min, weight_fns):
-    """Cumulative profiles of each weight in `weight_fns` over {f = t} within
-    the balls B(center, r_j), from one mesh of the largest ball.
-
-    Each weight is a callable (centroids, gradnorms, floor) -> weights, where
-    floor is the |grad f| below which `streamed_radial_sums` flags a sub-facet.
-    Returns (profiles, n_facets, n_flagged).
-    """
+    """Cumulative profiles of each weight in `weight_fns` (callables as in
+    `streamed_radial_sums`) over {f = t} within the balls B(center, r_j), from
+    one mesh of the largest ball.  Returns (profiles, n_facets, n_flagged)."""
     mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
     if mesh.is_empty():
         return [np.zeros(len(r_grid)) for _ in weight_fns], 0, 0
-    floor = _critical_floor(mesh.gradnorms)
-    profiles, flagged = streamed_radial_sums(
-        field, mesh, center, r_grid, h_min,
-        [lambda cents, areas, gradnorms, fn=fn: fn(cents, gradnorms, floor) for fn in weight_fns])
+    profiles, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
     return profiles, mesh.n_facets, flagged
 
 

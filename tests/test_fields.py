@@ -104,6 +104,14 @@ class TestSparsePolynomial:
                     scale = sum(abs(float(c)) for c in poly.terms.values())
                     assert abs(np.atleast_1d(g)[index] - float(true)) <= 1e-13 * scale, (order, index)
 
+    def test_jet_does_not_depend_on_the_batch(self):
+        P = random_solid_harmonic(3, 5, 0)
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(200, 3))
+        batched = P.jet(pts, 2)
+        for i, x in enumerate(pts):
+            for got, whole in zip(P.jet(x, 2), batched):
+                assert np.array_equal(got, whole[i]), i
+
     @given(small_polynomials())
     @settings(max_examples=40, deadline=None)
     def test_partials_commute_exactly(self, p):

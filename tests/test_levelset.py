@@ -9,9 +9,12 @@ import pytest
 
 from nodalab.fields import ScalarField, SparsePolynomial, make_torus_eigenfunction
 from nodalab.levelset import (
+    _MC_CHUNK,
     Domain,
     LevelSetError,
     _grid_axes,
+    _split_facets,
+    _subfacet_centroids,
     default_shell_width,
     extract,
     mc_mean,
@@ -19,7 +22,6 @@ from nodalab.levelset import (
     mesh_to_off,
     radial_profile,
     streamed_radial_sums,
-    subdivide_facets,
     thin_shell,
     weighted_area,
     weighted_area_error_bound,
@@ -185,11 +187,49 @@ class TestExtraction:
 
 
 class TestSubdivisionAndProfiles:
-    def test_subdivision_preserves_area(self):
+    @pytest.mark.parametrize("nv", [2, 3])
+    def test_subfacet_table_matches_repeated_splitting(self, nv):
+        # a random segment in 2D, a random triangle in 3D
+        verts = np.random.default_rng(nv).standard_normal((1, nv, nv))
+        fine = verts
+        for depth in range(5):
+            table = _subfacet_centroids(nv, depth)
+            assert table.shape == (2 ** ((nv - 1) * depth), nv)
+            assert np.allclose(table @ verts[0], fine.mean(axis=1), rtol=0, atol=1e-14)
+            fine = _split_facets(fine)
+
+    @pytest.mark.parametrize("field", [CIRCLE, SPHERE], ids=["circle", "sphere"])
+    def test_refinement_preserves_area(self, field):
+        n = field.dimension
+        m = extract(field, 0.25, Domain.box([-1] * n, [1] * n), 0.1)
+        r = np.array([0.3, 0.6, 2.0])  # the last ball covers the whole mesh
+        ones = [lambda c, g, floor: np.ones(len(c))]
+        (vals,), _ = streamed_radial_sums(field, m, np.zeros(n), r, 0.02, ones)
+        assert vals[-1] == pytest.approx(m.total_area, rel=1e-12)
+
+    def test_refined_batches_stay_within_the_chunk(self):
+        class Counted(ScalarField):
+            dimension = 3
+            points = 0
+            largest = 0
+
+            def value(self, x):
+                return SPHERE.value(x)
+
+            def gradient(self, x):
+                return SPHERE.gradient(x)
+
+            def grad_norm(self, x):
+                self.points += len(x)
+                self.largest = max(self.largest, len(x))
+                return SPHERE.grad_norm(x)
+
+        f = Counted()
         m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.1)
-        fine = subdivide_facets(m.vertices, 0.02)
-        a = np.linalg.norm(np.cross(fine[:, 1] - fine[:, 0], fine[:, 2] - fine[:, 0]), axis=1).sum() / 2
-        assert a == pytest.approx(m.total_area, rel=1e-12)
+        r = np.array([0.3, 0.6, 2.0])
+        streamed_radial_sums(f, m, np.zeros(3), r, m.resolution / 16, [lambda c, g, floor: g])
+        assert f.points > _MC_CHUNK
+        assert 0 < f.largest <= _MC_CHUNK
 
     def test_radial_profile_monotone_and_matches_closed_form(self):
         r = np.linspace(0.6, 1.4, 9)
@@ -203,7 +243,7 @@ class TestSubdivisionAndProfiles:
         r = np.linspace(0.6, 1.4, 9)
         mesh = extract(X3, 0.5, Domain.ball([0.0] * 3, 1.4), 0.05, h_min=0.0125)
         (vals,), _ = streamed_radial_sums(
-            X3, mesh, np.zeros(3), r, 0.0125, [lambda c, a, g: g]
+            X3, mesh, np.zeros(3), r, 0.0125, [lambda c, g, floor: g]
         )
         direct, _ = radial_profile(X3, 0.5, None, r, h=0.05, h_min=0.0125)
         assert np.allclose(vals, direct, rtol=1e-10)
