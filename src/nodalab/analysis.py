@@ -50,6 +50,9 @@ class DensityEstimate:
     `density` integrates to ~1 over the bins; `raw_psi` is the
     un-normalized pushforward density (vol * mean weight per bin / width),
     which for the mu flavor estimates the level-set integral of |grad f|.
+    The bins span the values of a pre-pass, so later samples can fall
+    outside them: `n_dropped` counts those, and `dropped_weight` is their
+    share of `normalization`, which still includes them.
     """
 
     edges: np.ndarray
@@ -61,6 +64,8 @@ class DensityEstimate:
     normalization: float  # mu(M), the total measure
     n_samples: int
     seed: int
+    n_dropped: int = 0
+    dropped_weight: float = 0.0
 
     @property
     def centers(self):
@@ -81,6 +86,8 @@ class DensityEstimate:
             "normalization": self.normalization,
             "n_samples": self.n_samples,
             "seed": self.seed,
+            "n_dropped": self.n_dropped,
+            "dropped_weight": self.dropped_weight,
         }
 
 
@@ -232,7 +239,7 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
             vals, w = base.value(pts), np.ones(size)
         else:
             vals, g = base.jet(pts, 1)
-            w = np.linalg.norm(g, axis=-1) ** 2
+            w = np.einsum("ij,ij->i", g, g)
             if flavor == "weighted":
                 w = w * field.weight_values(pts)
         idx = np.floor((vals - vmin) / width).astype(np.int64)
@@ -240,7 +247,8 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
         in_range = (vals >= vmin) & (vals <= vmax)
         iw = np.where(in_range, w, 0.0)
         hist = np.bincount(idx, weights=iw, minlength=bins)
-        return hist, np.bincount(idx, weights=iw * iw, minlength=bins), w.sum()
+        return (hist, np.bincount(idx, weights=iw * iw, minlength=bins), w.sum(),
+                size - np.count_nonzero(in_range), w[~in_range].sum())
 
     chunks = _map_chunks(run, n_samples, seed, workers)
     mean, se = _mean_and_se(chunks, n_samples)
@@ -257,6 +265,8 @@ def value_distribution_density(field, flavor, domain, bins, n_samples, seed, wor
         normalization=float(mu_M),
         n_samples=n_samples,
         seed=int(seed),
+        n_dropped=int(sum(c[3] for c in chunks)),
+        dropped_weight=float(vol * sum(c[4] for c in chunks) / n_samples),
     )
 
 

@@ -8,16 +8,20 @@ weight.  All fields are immutable after construction and evaluation is
 pure, so concurrent read-only use is safe.
 
 Each family evaluates through one kernel, `jet(x, order)`, which returns
-the value, gradient and Hessian up to `order` from shared intermediates:
-one table of coordinate powers for a polynomial, one set of cos/sin
-phases for a torus field, the per-coordinate factors phi, phi', phi''
-combined by the product rule for a box field.  `value`, `gradient` and
-`hessian` are views of it; a caller that needs two orders at the same
-points asks for one jet.
+the value, gradient and Hessian up to `order` from shared intermediates.
+A polynomial builds one table of coordinate powers x_d^k by repeated
+multiplication.  A trigonometric eigenfunction, torus or box, is stored as
+plane waves f = Re sum_j w_j exp(i omega m_j.x); its jet takes one cos and
+one sin of omega x_d per axis and raises exp(i omega x_d) to the powers
+the waves need by repeated multiplication, so the trig work per point does
+not grow with the number of modes.  `value`, `gradient` and `hessian` are
+views of the jet; a caller that needs two orders at the same points asks
+for one jet.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +124,12 @@ _VIEWS = (ScalarField.value, ScalarField.gradient, ScalarField.hessian)
 
 def _assemble(partial, n, order):
     """[value, gradient, Hessian][:order + 1] from `partial(alpha)`, the
-    derivative d^alpha f at every point for an integer multi-index alpha."""
+    derivative d^alpha f at every point for an integer multi-index alpha.
+
+    Each entry is its own `partial` call, so an output has the same bits
+    whichever order asked for it: polynomials sum falling-factorial-weighted
+    power products, plane waves take Re(w (i omega m)^alpha . exp(i omega m.x)).
+    """
     eye = np.eye(n, dtype=np.int64)
     out = [partial(np.zeros(n, dtype=np.int64))]
     if order >= 1:
@@ -354,6 +363,39 @@ BOX_DIRICHLET = "box-dirichlet"
 BOX_NEUMANN = "box-neumann"
 
 
+def _plane_waves(flavor, modes, dimension):
+    """(omega, m, w) with f = Re sum_j w_j exp(i omega m_j.x), one entry per
+    distinct wave vector up to sign.
+
+    A torus mode a cos(2 pi m.x) + b sin(2 pi m.x) is the wave (m, a - ib).  A
+    box mode amp prod_d phi(pi k_d x_d) expands by sin t = (e^{it} - e^{-it})/2i
+    and cos t = (e^{it} + e^{-it})/2 into 2^n waves (s_1 k_1, ..., s_n k_n) over
+    sign patterns s; s and -s merge into one, and so does each sign of a k_d = 0.
+    """
+    waves = {}
+
+    def add(m, w):
+        # Re(w e^{-i t}) = Re(conj(w) e^{i t}): keep the first non-zero entry positive
+        if next((v for v in m if v), 0) < 0:
+            m, w = tuple(-v for v in m), w.conjugate()
+        waves[m] = waves.get(m, 0) + w
+
+    if flavor == TORUS:
+        omega = TWO_PI
+        for m, a, b in modes:
+            add(m, complex(a, -b))
+    else:
+        omega = math.pi
+        # the weight of e^{+it} and e^{-it} in one factor
+        half = {1: 1 / 2j, -1: -1 / 2j} if flavor == BOX_DIRICHLET else {1: 0.5, -1: 0.5}
+        for k, amp in modes:
+            for signs in itertools.product((1, -1), repeat=dimension):
+                add(tuple(s * v for s, v in zip(signs, k)), amp * math.prod(half[s] for s in signs))
+    live = [(m, w) for m, w in waves.items() if w != 0]
+    m = np.array([m for m, _ in live], dtype=np.int64).reshape(len(live), dimension)
+    return omega, m, np.array([w for _, w in live], dtype=complex)
+
+
 class TrigEigenfunction(ScalarField):
     """Closed-form Laplace eigenfunction on the flat torus or the unit box.
 
@@ -370,90 +412,53 @@ class TrigEigenfunction(ScalarField):
             raise FieldError("empty mode list")
         self.flavor = flavor
         self.dimension = int(dimension)
-
-        if flavor == TORUS:
-            norm2 = None
-            clean = []
-            for m, a, b in modes:
-                m = tuple(int(v) for v in m)
-                if len(m) != dimension:
-                    raise FieldError("mode dimension mismatch")
-                mm = sum(v * v for v in m)
-                if norm2 is None:
-                    norm2 = mm
-                elif mm != norm2:
-                    raise FieldError(f"mixed |m|^2 values: {norm2} vs {mm}")
-                clean.append((m, float(a), float(b)))
-            if all(a == 0.0 and b == 0.0 for _, a, b in clean):
-                raise FieldError("all amplitudes vanish")
-            self.modes = tuple(clean)
-            self.eigenvalue = 4.0 * math.pi**2 * norm2
-            self._m = np.array([m for m, _, _ in clean], dtype=float)
-            self._a = np.array([a for _, a, _ in clean])
-            self._b = np.array([b for _, _, b in clean])
-        else:
-            norm2 = None
-            clean = []
-            for k, amp in modes:
-                k = tuple(int(v) for v in k)
-                if len(k) != dimension:
-                    raise FieldError("mode dimension mismatch")
-                if flavor == BOX_DIRICHLET and any(v <= 0 for v in k):
-                    raise FieldError("Dirichlet modes need strictly positive k entries")
-                if flavor == BOX_NEUMANN and (any(v < 0 for v in k) or all(v == 0 for v in k)):
-                    raise FieldError("Neumann modes need non-negative k, not all zero")
-                kk = sum(v * v for v in k)
-                if norm2 is None:
-                    norm2 = kk
-                elif kk != norm2:
-                    raise FieldError(f"mixed sum k_i^2 values: {norm2} vs {kk}")
-                clean.append((k, float(amp)))
-            self.modes = tuple(clean)
-            self.eigenvalue = math.pi**2 * norm2
+        clean = []
+        for k, *amps in modes:
+            k = tuple(int(v) for v in k)
+            if len(k) != dimension:
+                raise FieldError("mode dimension mismatch")
+            if flavor == BOX_DIRICHLET and any(v <= 0 for v in k):
+                raise FieldError("Dirichlet modes need strictly positive k entries")
+            if flavor == BOX_NEUMANN and (any(v < 0 for v in k) or all(v == 0 for v in k)):
+                raise FieldError("Neumann modes need non-negative k, not all zero")
+            clean.append((k, *map(float, amps)))
+        norms = {sum(v * v for v in k) for k, *_ in clean}
+        if len(norms) > 1:
+            raise FieldError(f"modes of different |m|^2: {sorted(norms)}")
+        if flavor == TORUS and all(a == 0.0 and b == 0.0 for _, a, b in clean):
+            raise FieldError("all amplitudes vanish")
+        self.modes = tuple(clean)
+        self._omega, self._m, self._w = _plane_waves(flavor, self.modes, self.dimension)
+        self.eigenvalue = self._omega**2 * norms.pop()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _torus_parts(self, pts):
-        phases = TWO_PI * (pts @ self._m.T)  # (N, K)
-        return np.cos(phases), np.sin(phases)
-
-    def _box_factors(self, pts, k):
-        # per-coordinate factor, first and second derivative
-        karr = np.array(k, dtype=float)
-        arg = math.pi * karr[None, :] * pts
-        if self.flavor == BOX_DIRICHLET:
-            fac = np.sin(arg)
-            dfac = math.pi * karr * np.cos(arg)
-        else:
-            fac = np.cos(arg)
-            dfac = -math.pi * karr * np.sin(arg)
-        d2fac = -((math.pi * karr) ** 2) * fac
-        return fac, dfac, d2fac
-
     def _jet(self, pts, order):
-        if self.flavor == TORUS:
-            c, s = self._torus_parts(pts)
-            out = [None]
-            if order >= 1:
-                # d/dx_i of a cos + b sin = 2 pi m_i (-a sin + b cos)
-                out.append((c * self._b[None, :] - s * self._a[None, :]) @ (TWO_PI * self._m))
-            if order >= 2:
-                amp = -(c * self._a[None, :] + s * self._b[None, :])  # (N,K)
-                mm = TWO_PI**2 * np.einsum("ki,kj->kij", self._m, self._m)
-                out.append(np.einsum("nk,kij->nij", amp, mm))
-            # the value last, so the gradient's (N, K) temporaries are freed before
-            # the long-lived (N,) value array is allocated (lower peak RSS)
-            out[0] = c @ self._a + s @ self._b
-            return out
-        cols = np.arange(self.dimension)
-        total = [0.0] * (order + 1)
-        for k, amp in self.modes:
-            # product rule: d^alpha of amp prod_d phi(pi k_d x_d) is amp prod_d phi^(alpha_d)
-            fac = np.stack(self._box_factors(pts, k)[: order + 1])
-            jet = _assemble(lambda alpha: amp * fac[alpha, :, cols].prod(axis=0),
-                            self.dimension, order)
-            total = [t + j for t, j in zip(total, jet)]
-        return total
+        # waves[j] = exp(i omega m_j.x), one axis factor at a time
+        waves = np.ones((len(self._w), len(pts)), dtype=complex)
+        for d, column in enumerate(self._m.T):
+            top = int(np.abs(column).max(initial=0))
+            if not top:
+                continue
+            theta = self._omega * pts[:, d]
+            step = np.empty(len(pts), dtype=complex)  # exp(i omega x_d): the axis's only cos and sin
+            np.cos(theta, out=step.real)
+            np.sin(theta, out=step.imag)
+            # step^k by repeated multiplication, each power used as soon as it is made
+            power = step
+            for k in range(1, top + 1):
+                if k > 1:
+                    power = power * step
+                for j in np.flatnonzero(np.abs(column) == k):
+                    waves[j] *= power if column[j] > 0 else power.conj()
+        freq = 1j * self._omega * self._m
+
+        def partial(alpha):
+            # d^alpha f = Re(sum_j w_j prod_d (i omega m_jd)^alpha_d exp(i omega m_j.x)),
+            # one product per output row, so a row has the same bits at every order
+            return ((self._w * np.prod(freq**alpha, axis=1)) @ waves).real
+
+        return _assemble(partial, self.dimension, order)
 
     value, gradient, hessian = _VIEWS
 

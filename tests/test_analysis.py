@@ -63,6 +63,20 @@ class TestDensity:
         assert np.array_equal(a.density, b.density)
         assert np.array_equal(a.raw_psi, b.raw_psi)
 
+    @pytest.mark.parametrize("flavor", ["sigma", "mu"])
+    def test_samples_outside_the_bins_are_reported(self, flavor):
+        # the bins span a pre-pass's values; a wave of 8 modes peaks rarely enough
+        # that later samples fall outside them
+        modes = ((1, 8), (1, -8), (8, 1), (8, -1), (4, 7), (4, -7), (7, 4), (7, -4))
+        amps = np.random.default_rng(65).standard_normal((8, 2))
+        wave = make_torus_eigenfunction([(m, a, b) for m, (a, b) in zip(modes, amps)])
+        d = an.value_distribution_density(wave, flavor, TORUS, 16, 200_000, seed=0)
+        assert d.n_dropped > 0 and d.dropped_weight > 0
+        binned = float(d.raw_psi.sum() * d.bin_width)
+        assert binned + d.dropped_weight == pytest.approx(d.normalization, rel=1e-12)
+        assert d.to_json()["n_dropped"] == d.n_dropped
+        assert d.to_json()["dropped_weight"] == d.dropped_weight
+
     def test_weighted_flavor_runs(self):
         wf = WeightedField(
             SparsePolynomial(2, {(2, 0): Fraction(1), (0, 0): Fraction(-1)}),

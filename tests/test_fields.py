@@ -52,6 +52,16 @@ def _fd_hessian(field, x, eps=1e-6):
 MULTI_TORUS = make_torus_eigenfunction([((2, 1), 0.3, 1.0), ((1, -2), -0.7, 0.4), ((2, -1), 0.0, 1.1)])
 DIRICHLET_3D = TrigEigenfunction(BOX_DIRICHLET, [((1, 2, 2), 0.7), ((2, 2, 1), -1.3)], 3)
 NEUMANN_3D = TrigEigenfunction(BOX_NEUMANN, [((0, 0, 3), 1.0), ((2, 2, 1), 0.4)], 3)
+# several modes per box; zero entries of k make coincident plane waves
+DIRICHLET_2D = TrigEigenfunction(BOX_DIRICHLET, [((1, 8), 0.9), ((8, 1), -0.4), ((4, 7), 1.3), ((7, 4), 0.6)], 2)
+NEUMANN_3D_MODES = TrigEigenfunction(
+    BOX_NEUMANN, [((0, 0, 3), 1.0), ((2, 2, 1), 0.4), ((0, 3, 0), -0.6), ((2, 1, 2), 0.9)], 3)
+# the benchmark's density fields: the 8-mode |m|^2 = 65 random wave and its boxes
+WAVE_MODES = ((1, 8), (1, -8), (8, 1), (8, -1), (4, 7), (4, -7), (7, 4), (7, -4))
+AMPS = np.random.default_rng(65).standard_normal((8, 2))
+WAVE = make_torus_eigenfunction([(m, a, b) for m, (a, b) in zip(WAVE_MODES, AMPS)])
+WAVE_DIRICHLET = TrigEigenfunction(BOX_DIRICHLET, list(zip(((1, 8), (8, 1), (4, 7), (7, 4)), AMPS[:4, 0])), 2)
+WAVE_NEUMANN = TrigEigenfunction(BOX_NEUMANN, list(zip(((0, 5), (5, 0), (3, 4), (4, 3)), AMPS[:4, 1])), 2)
 
 
 @st.composite
@@ -191,31 +201,60 @@ class TestTrigEigenfunctions:
         for x in RNG.uniform(0.1, 0.9, size=(5, 2)):
             assert np.allclose(f.gradient(x), _fd_gradient(f, x), atol=1e-6)
 
-    @pytest.mark.parametrize("field", [DIRICHLET_3D, NEUMANN_3D], ids=["dirichlet", "neumann"])
+    @pytest.mark.parametrize(
+        "field",
+        [DIRICHLET_3D, NEUMANN_3D, DIRICHLET_2D, NEUMANN_3D_MODES],
+        ids=["dirichlet", "neumann", "dirichlet-2d", "neumann-modes"],
+    )
     def test_box_derivatives_where_a_factor_vanishes(self, field):
         # x_d = j / k_d zeroes the Dirichlet factor sin(pi k_d x_d) (exactly at 0)
-        # and the derivative factor of the Neumann cos(pi k_d x_d)
+        # and the derivative factor of the Neumann cos(pi k_d x_d); the plane-wave
+        # sum is checked against the closed-form products there
         dirichlet = field.flavor == BOX_DIRICHLET
-        axis = [0.0, 1 / 3, 0.5, 1.0, 0.3]
-        pts = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+        n = field.dimension
+        axis = [0.0, 1 / 7, 0.25, 1 / 3, 0.5, 1.0, 0.3]
+        pts = np.array(np.meshgrid(*[axis] * n)).reshape(n, -1).T
 
         def factor(k, x, order):
             arg = math.pi * k * x
             base = [math.sin, math.cos, lambda a: -math.sin(a), lambda a: -math.cos(a)]
             return (math.pi * k) ** order * base[order + (0 if dirichlet else 1)](arg)
 
-        for x, g, h in zip(pts, field.gradient(pts), field.hessian(pts)):
-            exact_g = np.zeros(3)
-            exact_h = np.zeros((3, 3))
+        for x, v, g, h in zip(pts, *field.jet(pts, 2)):
+            exact_v = 0.0
+            exact_g = np.zeros(n)
+            exact_h = np.zeros((n, n))
             for k, amp in field.modes:
-                for i in range(3):
-                    orders = [int(d == i) for d in range(3)]
-                    exact_g[i] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(3))
-                    for j in range(3):
-                        orders = [int(d == i) + int(d == j) for d in range(3)]
-                        exact_h[i, j] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(3))
+                exact_v += amp * math.prod(factor(k[d], x[d], 0) for d in range(n))
+                for i in range(n):
+                    orders = [int(d == i) for d in range(n)]
+                    exact_g[i] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(n))
+                    for j in range(n):
+                        orders = [int(d == i) + int(d == j) for d in range(n)]
+                        exact_h[i, j] += amp * math.prod(factor(k[d], x[d], orders[d]) for d in range(n))
+            assert abs(v - exact_v) <= 1e-14
             assert np.allclose(g, exact_g, rtol=0, atol=1e-12)
             assert np.allclose(h, exact_h, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("field", [WAVE, WAVE_DIRICHLET, WAVE_NEUMANN],
+                             ids=["wave", "dirichlet", "neumann"])
+    def test_two_trig_evaluations_per_point_and_axis(self, field, monkeypatch):
+        # one cos and one sin of omega x_d per axis with a non-zero frequency,
+        # whatever the number of modes
+        counted = []
+
+        def counting(fn):
+            def wrapped(x, *args, **kwargs):
+                counted.append(np.size(x))
+                return fn(x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        monkeypatch.setattr(np, "sin", counting(np.sin))
+        pts = np.random.default_rng(0).uniform(0, 1, size=(100, field.dimension))
+        field.jet(pts, 1)
+        axes = sum(any(mode[0][d] for mode in field.modes) for d in range(field.dimension))
+        assert 0 < sum(counted) <= 2 * axes * len(pts)
 
 
 class TestWeightsAndComposites:
@@ -261,8 +300,9 @@ class TestWeightsAndComposites:
 class TestJets:
     @pytest.mark.parametrize(
         "field, lo, hi",
-        [(MULTI_TORUS, 0, 1), (DIRICHLET_3D, 0, 1), (NEUMANN_3D, 0, 1), (GaussianWeight(3), -2, 2)],
-        ids=["torus", "dirichlet", "neumann", "gaussian"],
+        [(MULTI_TORUS, 0, 1), (DIRICHLET_3D, 0, 1), (NEUMANN_3D, 0, 1), (DIRICHLET_2D, 0, 1),
+         (NEUMANN_3D_MODES, 0, 1), (GaussianWeight(3), -2, 2)],
+        ids=["torus", "dirichlet", "neumann", "dirichlet-2d", "neumann-modes", "gaussian"],
     )
     def test_hessian_matches_differences_of_gradient(self, field, lo, hi):
         for x in RNG.uniform(lo, hi, size=(5, field.dimension)):
@@ -276,11 +316,14 @@ class TestJets:
             MULTI_TORUS,
             DIRICHLET_3D,
             NEUMANN_3D,
+            DIRICHLET_2D,
+            NEUMANN_3D_MODES,
             GaussianWeight(2),
             ConstantWeight(3, 1.5),
             GradientNormField(MULTI_TORUS),
         ],
-        ids=["polynomial", "torus", "dirichlet", "neumann", "gaussian", "constant", "gradnorm"],
+        ids=["polynomial", "torus", "dirichlet", "neumann", "dirichlet-2d", "neumann-modes",
+             "gaussian", "constant", "gradnorm"],
     )
     def test_jet_matches_value_gradient_hessian(self, field):
         pts = RNG.uniform(-0.9, 0.9, size=(30, field.dimension))
