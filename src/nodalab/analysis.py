@@ -25,6 +25,7 @@ from .fields import (
 from .harmonics import spherical_values
 from .levelset import (
     Domain,
+    JsonRecord,
     LevelSetError,
     MESH_ERR_COEFF,
     _chunk_rng,
@@ -44,7 +45,7 @@ from .levelset import (
 
 
 @dataclass
-class DensityEstimate:
+class DensityEstimate(JsonRecord):
     """Binned value-distribution density with per-bin standard errors.
 
     `density` integrates to ~1 over the bins; `raw_psi` is the
@@ -75,24 +76,9 @@ class DensityEstimate:
     def bin_width(self):
         return float(self.edges[1] - self.edges[0])
 
-    def to_json(self):
-        return {
-            "edges": self.edges.tolist(),
-            "density": self.density.tolist(),
-            "density_se": self.density_se.tolist(),
-            "raw_psi": self.raw_psi.tolist(),
-            "raw_se": self.raw_se.tolist(),
-            "flavor": self.flavor,
-            "normalization": self.normalization,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "n_dropped": self.n_dropped,
-            "dropped_weight": self.dropped_weight,
-        }
-
 
 @dataclass
-class UnimodalityReport:
+class UnimodalityReport(JsonRecord):
     """Mode pinned at zero; V is the worst wrong-way jump on either side."""
 
     violation: float
@@ -100,17 +86,9 @@ class UnimodalityReport:
     passed: bool
     mode_location: float = 0.0
 
-    def to_json(self):
-        return {
-            "mode_location": self.mode_location,
-            "violation": self.violation,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
-
 
 @dataclass
-class MonotonicityReport:
+class MonotonicityReport(JsonRecord):
     grid: np.ndarray
     values: np.ndarray
     errors: np.ndarray
@@ -119,20 +97,9 @@ class MonotonicityReport:
     tolerance: float
     passed: bool
 
-    def to_json(self):
-        return {
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "errors": self.errors.tolist(),
-            "direction": self.direction,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass
-class IdentityReport:
+class IdentityReport(JsonRecord):
     lhs: float
     lhs_error: float
     rhs: float
@@ -143,32 +110,6 @@ class IdentityReport:
     passed: bool
     skipped: bool = False
     details: dict = dataclass_field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "lhs": self.lhs,
-            "lhs_error": self.lhs_error,
-            "rhs": self.rhs,
-            "rhs_error": self.rhs_error,
-            "discrepancy": self.discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "details": _jsonable(self.details),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _identity_report(lhs, lhs_err, rhs, rhs_err, extra_tol=0.0, details=None):

@@ -147,26 +147,6 @@ def _assemble(partial, n, order):
 # Sparse polynomials
 
 
-def _coeff_add(a, b):
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return float(a) * float(b)
-
-
 def _to_coeff(c):
     if isinstance(c, Fraction):
         return c
@@ -196,7 +176,7 @@ class SparsePolynomial(ScalarField):
                 raise FieldError(f"negative exponent in {exps}")
             coeff = _to_coeff(coeff)
             if exps in clean:
-                coeff = _coeff_add(clean[exps], coeff)
+                coeff = clean[exps] + coeff
             clean[exps] = coeff
         self.terms = {e: c for e, c in sorted(clean.items()) if c != 0}
         self._cache = None
@@ -235,7 +215,7 @@ class SparsePolynomial(ScalarField):
             raise FieldError("dimension mismatch")
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = _coeff_add(terms.get(e, Fraction(0)), c)
+            terms[e] = terms.get(e, 0) + c
         return SparsePolynomial(self.dimension, terms)
 
     def __sub__(self, other):
@@ -252,15 +232,14 @@ class SparsePolynomial(ScalarField):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = _coeff_mul(c1, c2)
-                terms[e] = _coeff_add(terms.get(e, Fraction(0)), c)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return SparsePolynomial(self.dimension, terms)
 
     __rmul__ = __mul__
 
     def scale(self, s):
         s = _to_coeff(s)
-        return SparsePolynomial(self.dimension, {e: _coeff_mul(c, s) for e, c in self.terms.items()})
+        return SparsePolynomial(self.dimension, {e: c * s for e, c in self.terms.items()})
 
     def diff(self, i):
         """Exact partial derivative with respect to coordinate i."""
@@ -270,7 +249,7 @@ class SparsePolynomial(ScalarField):
                 continue
             new = list(exps)
             new[i] -= 1
-            terms[tuple(new)] = _coeff_mul(coeff, exps[i])
+            terms[tuple(new)] = coeff * exps[i]
         return SparsePolynomial(self.dimension, terms)
 
     def laplacian_poly(self):
@@ -594,12 +573,6 @@ class WeightedField:
         grho = self.weight.gradient(pts)
         out = self.base.laplacian(pts) + np.einsum("ni,ni->n", grho, gf) / rho
         return out[0] if single else out
-
-
-def weighted_laplacian(wf: WeightedField, point):
-    """Weighted Laplacian of wf.base at `point` (scalar for a single point)."""
-    out = wf.weighted_laplacian(point)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

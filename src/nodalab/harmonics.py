@@ -1,8 +1,10 @@
 """Solid spherical harmonics: k-homogeneous polynomials with exact zero Laplacian.
 
 Construction goes through the Fischer decomposition q = h + |x|^2 g of a
-homogeneous polynomial, solved as an exact rational linear system, so the
-harmonic component carries a coefficient-level certificate Delta h = 0.
+homogeneous polynomial.  The harmonic component has the closed form
+h = sum_j c_j |x|^(2j) Delta^j q (Axler, Bourdon & Ramey, Harmonic
+Function Theory, ch. 5), evaluated in rational arithmetic, so h carries a
+coefficient-level certificate Delta h = 0.
 """
 
 from __future__ import annotations
@@ -14,48 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import FieldError, SparsePolynomial, _as_points
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra over Fractions
-
-
-def solve_exact(A, b):
-    """Solve the square rational system A x = b by Gaussian elimination."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise FieldError("singular system in harmonic projection")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = M[col][col]
-        M[col] = [v / inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def independent_rows(vectors):
-    """Indices of a maximal linearly independent subset (exact elimination)."""
-    basis = []  # reduced rows, each (leading index, row list)
-    chosen = []
-    for idx, vec in enumerate(vectors):
-        row = [Fraction(v) for v in vec]
-        for lead, bvec in basis:
-            if row[lead] != 0:
-                f = row[lead]
-                row = [r - f * b for r, b in zip(row, bvec)]
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [v / inv for v in row]
-        basis.append((lead, row))
-        chosen.append(idx)
-    return chosen
 
 
 def monomial_exponents(n, d):
@@ -71,10 +31,6 @@ def monomial_exponents(n, d):
 
 def harmonic_dimension(n, k):
     """Dimension of the space of k-homogeneous harmonic polynomials in R^n."""
-    if k == 0:
-        return 1
-    if k == 1:
-        return n
 
     def nmono(d):
         return math.comb(n + d - 1, d) if d >= 0 else 0
@@ -86,48 +42,25 @@ def harmonic_dimension(n, k):
 # Fischer projection
 
 
-def _require_rational(p: SparsePolynomial) -> SparsePolynomial:
-    terms = {}
-    for e, c in p.terms.items():
-        terms[e] = c if isinstance(c, Fraction) else Fraction(c)
-    return SparsePolynomial(p.dimension, terms)
-
-
 def harmonic_project(q: SparsePolynomial) -> SparsePolynomial:
     """Harmonic component h of a homogeneous polynomial q = h + |x|^2 g.
 
-    Exact: the returned polynomial has rational coefficients with
-    Delta h identically zero at the coefficient level.
+    h = sum_{j <= k/2} c_j |x|^(2j) Delta^j q with c_0 = 1 and
+    c_j = -c_{j-1} / (2j (n + 2k - 2j - 2)), which makes the Laplacians of
+    consecutive terms cancel.  Exact: the returned polynomial has rational
+    coefficients with Delta h identically zero at the coefficient level.
     """
     k = q.homogeneous_degree()
     if k is None:
         raise FieldError("harmonic_project requires a homogeneous polynomial")
-    q = _require_rational(q)
-    if k < 2 or q.is_zero():
-        return q
     n = q.dimension
-    lap_q = q.laplacian_poly()
-    if lap_q.is_zero():
-        return q
-
-    lower = monomial_exponents(n, k - 2)
-    index = {e: i for i, e in enumerate(lower)}
     r2 = SparsePolynomial.radius_squared(n)
-
-    # columns: Delta(|x|^2 x^beta) expanded in degree-(k-2) monomials
-    m = len(lower)
-    A = [[Fraction(0)] * m for _ in range(m)]
-    for col, beta in enumerate(lower):
-        lap = (r2 * SparsePolynomial.monomial(n, beta)).laplacian_poly()
-        for e, c in lap.terms.items():
-            A[index[e]][col] = c
-    b = [Fraction(0)] * m
-    for e, c in lap_q.terms.items():
-        b[index[e]] = c
-
-    g_coeffs = solve_exact(A, b)
-    g = SparsePolynomial(n, {e: c for e, c in zip(lower, g_coeffs) if c != 0})
-    h = q - r2 * g
+    h = lap = SparsePolynomial(n, {e: Fraction(c) for e, c in q.terms.items()})
+    r2j, c = SparsePolynomial.constant(n, 1), Fraction(1)
+    for j in range(1, k // 2 + 1):
+        lap, r2j = lap.laplacian_poly(), r2j * r2
+        c = -c / (2 * j * (n + 2 * k - 2 * j - 2))
+        h = h + r2j * lap.scale(c)
     if not h.laplacian_poly().is_zero():
         raise AssertionError("projection failed to produce an exactly harmonic polynomial")
     return h
@@ -152,27 +85,17 @@ class HarmonicBasis:
 
 
 def make_basis(n, k) -> HarmonicBasis:
-    """Project the monomial basis and reduce to a maximal independent set."""
+    """Projections of the monomials x^e with e_n <= 1, in `monomial_exponents` order.
+
+    Modulo |x|^2, x_n^2 = -(x_1^2 + ... + x_{n-1}^2), so a monomial with
+    e_n >= 2 adds nothing; the rest number exactly dim H_k.
+    """
     if n < 2:
         raise FieldError("dimension must be at least 2")
     if k < 0:
         raise FieldError("degree must be non-negative")
-    if k == 0:
-        return HarmonicBasis(n, 0, (SparsePolynomial.constant(n, 1),))
-
-    monos = monomial_exponents(n, k)
-    index = {e: i for i, e in enumerate(monos)}
-    projected = [harmonic_project(SparsePolynomial.monomial(n, e)) for e in monos]
-
-    vectors = []
-    for p in projected:
-        vec = [Fraction(0)] * len(monos)
-        for e, c in p.terms.items():
-            vec[index[e]] = c
-        vectors.append(vec)
-    chosen = independent_rows(vectors)
-    elements = tuple(projected[i] for i in chosen)
-
+    elements = tuple(harmonic_project(SparsePolynomial.monomial(n, e))
+                     for e in monomial_exponents(n, k) if e[-1] <= 1)
     expected = harmonic_dimension(n, k)
     if len(elements) != expected:
         raise AssertionError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
@@ -141,25 +141,36 @@ class Domain:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimates
+# Report records and Monte Carlo estimates
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+class JsonRecord:
+    """Dataclass mixin: `to_json` maps every field through `_jsonable`."""
+
+    def to_json(self):
+        return {f.name: _jsonable(getattr(self, f.name)) for f in dataclass_fields(self)}
 
 
 @dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(JsonRecord):
     """Monte Carlo value with a standard error from the sample variance."""
 
     value: float
     standard_error: float
     n_samples: int
     seed: int
-
-    def to_json(self):
-        return {
-            "value": self.value,
-            "standard_error": self.standard_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def _chunk_rng(seed, chunk):
@@ -542,20 +553,6 @@ def extract(field, t, domain, h, h_min=None):
     axes = _grid_axes(domain, h)
     verts = _extract_grid(field, t, axes)
     verts = _clip_facets(verts, domain, h_min)
-
-    if len(verts) == 0:
-        return LevelSetMesh(
-            level=float(t),
-            dimension=n,
-            resolution=float(h),
-            vertices=np.zeros((0, 2 if n == 2 else 3, n)),
-            areas=np.zeros(0),
-            centroids=np.zeros((0, n)),
-            gradnorms=np.zeros(0),
-            n_flagged=0,
-            h_min=float(h_min),
-        )
-
     areas, centroids = _facet_geometry(verts)
     keep = areas > 0
     verts, areas, centroids = verts[keep], areas[keep], centroids[keep]
@@ -630,7 +627,7 @@ def radial_profile(
 
 def mesh_to_csv(mesh, path):
     """Facet table: vertex coordinates, area, |grad f| sample."""
-    n, nv = mesh.dimension, mesh.vertices.shape[1] if mesh.n_facets else (2 if mesh.dimension == 2 else 3)
+    n, nv = mesh.dimension, mesh.vertices.shape[1]
     cols = [f"v{i}_{ax}" for i in range(nv) for ax in "xyz"[:n]] + ["area", "gradnorm"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
@@ -641,7 +638,7 @@ def mesh_to_csv(mesh, path):
 
 def mesh_to_off(mesh, path):
     """OFF-like text export (vertices then facet index lists)."""
-    nv = mesh.vertices.shape[1] if mesh.n_facets else 0
+    nv = mesh.vertices.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.n_facets * nv} {mesh.n_facets} 0\n")

@@ -148,6 +148,26 @@ class TestSparsePolynomial:
         lap = p.laplacian_poly()
         assert all(isinstance(c, Fraction) for c in lap.terms.values())
 
+    def test_mixed_coefficient_arithmetic(self):
+        third = SparsePolynomial(1, {(1,): Fraction(1, 3)})
+        half = SparsePolynomial(1, {(1,): 0.5})
+        ints = SparsePolynomial(1, {(1,): 2})
+        # int coefficients become Fractions; Fraction with int stays exact
+        assert ints.terms == {(1,): Fraction(2)} and isinstance(ints.terms[(1,)], Fraction)
+        exact = (third + ints).terms[(1,)]
+        assert exact == Fraction(7, 3) and isinstance(exact, Fraction)
+        assert (third * ints).terms == {(2,): Fraction(2, 3)}
+        assert third.scale(3).terms == {(1,): Fraction(1)}
+        # a float on either side gives float(a) op float(b)
+        for a, b in ((third, half), (half, third)):
+            total = (a + b).terms[(1,)]
+            assert type(total) is float and total == float(Fraction(1, 3)) + 0.5
+            product = (a * b).terms[(2,)]
+            assert type(product) is float and product == float(Fraction(1, 3)) * 0.5
+        scaled = third.scale(0.25).terms[(1,)]
+        assert type(scaled) is float and scaled == float(Fraction(1, 3)) * 0.25
+        assert half.diff(0).terms == {(0,): 0.5} and type(half.diff(0).terms[(0,)]) is float
+
     def test_homogeneous_degree(self):
         assert SparsePolynomial.radius_squared(3).homogeneous_degree() == 2
         mixed = SparsePolynomial(2, {(1, 0): 1, (2, 0): 1})

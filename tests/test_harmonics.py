@@ -1,8 +1,10 @@
 """Harmonic polynomial construction: exact projection, bases, random draws,
 and restriction to the sphere."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +15,20 @@ from nodalab.fields import FieldError, SparsePolynomial
 from nodalab.harmonics import (
     harmonic_dimension,
     harmonic_project,
-    independent_rows,
     make_basis,
     monomial_exponents,
     random_solid_harmonic,
-    solve_exact,
     sphere_decompose,
 )
 
 RNG = np.random.default_rng(99)
+# exact terms of make_basis(n, k), n <= 4, k <= 4, and of the benchmark's
+# random harmonics, as built by Gaussian elimination over Fractions
+GOLDEN = json.loads((Path(__file__).parent / "data" / "harmonics_golden.json").read_text())
+
+
+def _encode(p):
+    return [[list(e), str(c)] for e, c in p.terms.items()]
 
 
 def _unit_vectors(n, count):
@@ -30,18 +37,6 @@ def _unit_vectors(n, count):
 
 
 class TestExactLinearAlgebra:
-    def test_solve_exact_known_system(self):
-        x = solve_exact([[2, 1], [1, 3]], [5, 10])
-        assert x == [Fraction(1), Fraction(3)]
-
-    def test_solve_exact_rejects_singular(self):
-        with pytest.raises(FieldError):
-            solve_exact([[1, 2], [2, 4]], [1, 1])
-
-    def test_independent_rows(self):
-        rows = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]]
-        assert independent_rows(rows) == [0, 2]
-
     def test_monomial_exponents_count(self):
         assert len(monomial_exponents(3, 4)) == math.comb(6, 4)
         assert all(sum(e) == 4 for e in monomial_exponents(3, 4))
@@ -60,6 +55,14 @@ class TestDimensionsAndProjection:
         q = SparsePolynomial(2, {(2, 0): Fraction(1)})
         h = harmonic_project(q)
         assert h.terms == {(2, 0): Fraction(1, 2), (0, 2): Fraction(-1, 2)}
+
+    def test_project_closed_forms_in_r3(self):
+        r2 = SparsePolynomial.radius_squared(3)
+        z2 = SparsePolynomial.monomial(3, (0, 0, 2))
+        assert harmonic_project(z2).terms == (z2 - r2.scale(Fraction(1, 3))).terms
+        x1_2 = SparsePolynomial.monomial(3, (2, 0, 0))
+        expected = x1_2 * x1_2 - (x1_2 * r2).scale(Fraction(6, 7)) + (r2 * r2).scale(Fraction(3, 35))
+        assert harmonic_project(x1_2 * x1_2).terms == expected.terms
 
     def test_project_keeps_harmonic_input(self):
         p = SparsePolynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
@@ -99,6 +102,11 @@ class TestDimensionsAndProjection:
             assert p.laplacian_poly().is_zero()
             assert p.homogeneous_degree() == k
 
+    @pytest.mark.parametrize("key", [k for k in GOLDEN if k.startswith("make_basis")])
+    def test_basis_matches_golden_terms(self, key):
+        n, k = map(int, key.split()[1:])
+        assert [_encode(p) for p in make_basis(n, k)] == GOLDEN[key]
+
 
 class TestRandomHarmonics:
     def test_deterministic_in_seed(self):
@@ -118,6 +126,11 @@ class TestRandomHarmonics:
         p = random_solid_harmonic(3, 4, seed=2)
         pts = _unit_vectors(3, 10)
         assert np.allclose(p.value(2.0 * pts), 2.0**4 * p.value(pts), rtol=1e-12)
+
+    @pytest.mark.parametrize("key", [k for k in GOLDEN if k.startswith("random_solid_harmonic")])
+    def test_benchmark_harmonics_match_golden_terms(self, key):
+        n, k, seed = map(int, key.split()[1:])
+        assert [_encode(random_solid_harmonic(n, k, seed))] == GOLDEN[key]
 
 
 class TestSphereDecomposition:

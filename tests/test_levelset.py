@@ -18,6 +18,7 @@ from nodalab.levelset import (
     default_shell_width,
     extract,
     mc_mean,
+    mesh_quadrature,
     mesh_to_csv,
     mesh_to_off,
     radial_profile,
@@ -141,6 +142,16 @@ class TestExtraction:
         assert m.is_empty()
         assert weighted_area(m) == 0.0
         assert weighted_area_error_bound(m) == 0.0
+        torus = make_torus_eigenfunction([((1, 0), 0.0, 1.0)])
+        for field, t, dom in ((CIRCLE, -1.0, Domain.box([-1, -1], [1, 1])),
+                              (SPHERE, -1.0, Domain.ball([0.0, 0.0, 0.0], 1.0)),
+                              (torus, 2.0, Domain.torus(2))):
+            m = extract(field, t, dom, 0.05)
+            n = field.dimension
+            assert m.vertices.shape == (0, n, n)
+            assert m.areas.shape == (0,) and m.centroids.shape == (0, n) and m.gradnorms.shape == (0,)
+            assert m.n_flagged == 0
+            assert mesh_quadrature(m) == (0.0, 0.0)
 
     def test_gradnorms_match_field(self):
         m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.02)
