@@ -29,14 +29,13 @@ from .levelset import (
     LevelSetError,
     MESH_ERR_COEFF,
     _chunk_rng,
+    _gradnorm_weight,
     _map_chunks,
     _mean_and_se,
-    ball_radial_profiles,
     default_shell_width,
     extract,
     mesh_quadrature,
     radial_profile,
-    thin_shell,
 )
 
 
@@ -222,17 +221,8 @@ def unimodality_check(d: DensityEstimate) -> UnimodalityReport:
         raise ValueError("bins must cover zero")
     psi = d.density
     se = d.density_se
-
-    def worst_increase_violation(vals):
-        # largest (earlier - later)_+ over pairs, for a non-decreasing claim
-        run_max = np.maximum.accumulate(vals)
-        return float(np.max(run_max[:-1] - vals[1:], initial=0.0))
-
-    left = centers <= 0.0
-    right = centers >= 0.0
-    v_left = worst_increase_violation(psi[left]) if left.sum() > 1 else 0.0
-    v_right = worst_increase_violation(psi[right][::-1]) if right.sum() > 1 else 0.0
-    violation = max(v_left, v_right)
+    violation = max(_decrease_violation(psi[centers <= 0.0]),
+                    _decrease_violation(psi[centers >= 0.0][::-1]))
 
     top = np.sort(se)[-2:] if len(se) >= 2 else np.array([0.0, se.max(initial=0.0)])
     threshold = 3.0 * math.sqrt(float((top**2).sum()))
@@ -256,8 +246,9 @@ def _level_curvature(field, pts, g, hess):
     return N, norms, hNN, -(lap - hNN) / norms, lap
 
 
-def curvature_identity_check(field, n_points=1000, seed=0, domain=None):
-    """max |H_rho + Delta f| at random regular points, with rho = |grad f|.
+def curvature_identity_check(field, n_points=1024, seed=0, domain=None):
+    """max |H_rho + Delta f| over the regular points among n_points random
+    points, with rho = |grad f|.
 
     H_rho is assembled from the mean-curvature formula for implicit
     hypersurfaces, so the residual measures floating-point cancellation
@@ -266,30 +257,26 @@ def curvature_identity_check(field, n_points=1000, seed=0, domain=None):
     base = field.base if isinstance(field, WeightedField) else field
     if domain is None:
         domain = default_domain(field)
-    collected = 0
-    max_resid = 0.0
-    trials = 0
-    chunk = 0
-    while collected < n_points:
-        if trials >= 10**5:
-            raise FieldError("no regular points found after 10^5 trials")
-        size = max(n_points - collected, 1024)
-        pts = domain.sample(size, _chunk_rng(seed, chunk))
-        chunk += 1
-        trials += size
+    n_points = int(n_points)
+
+    def run(rng, size):
+        pts = domain.sample(size, rng)
         _, g, hess = base.jet(pts, 2)
         norms = np.linalg.norm(g, axis=1)
         scale = norms.max() if norms.max() > 0 else 1.0
         regular = norms >= 1e-6 * scale
         if not regular.any():
-            continue
+            return 0.0, 0
         pts = pts[regular]
         _, norms, hNN, H, lap = _level_curvature(base, pts, g[regular], hess[regular])
         H_rho = norms * H - hNN  # <grad |grad f|, N> = Hess f(N, N)
-        resid = np.abs(H_rho + lap)
-        max_resid = max(max_resid, float(resid.max()))
-        collected += len(pts)
+        return float(np.abs(H_rho + lap).max()), len(pts)
 
+    chunks = _map_chunks(run, n_points, seed)
+    collected = sum(c[1] for c in chunks)
+    if collected == 0:
+        raise FieldError(f"no regular point among {n_points} samples")
+    max_resid = max(c[0] for c in chunks)
     tol = 1e-9
     return IdentityReport(
         lhs=max_resid,
@@ -409,18 +396,10 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
             w = w * field.weight_values(pts)
         return w
 
-    if base.dimension in (2, 3):
-        flux1, err1 = mesh_quadrature(extract(base, t1, domain, h), lhs_weight)
-        flux2, err2 = mesh_quadrature(extract(base, t2, domain, h), lhs_weight)
-        lhs = flux2 - flux1
-        lhs_err = err2 + err1
-    else:
-        delta = default_shell_width(domain)
-        est1 = thin_shell(base, t1, lhs_weight, domain, delta, n_samples, seed + 101, workers)
-        est2 = thin_shell(base, t2, lhs_weight, domain, delta, n_samples, seed + 102, workers)
-        lhs = est2.value - est1.value
-        lhs_err = math.hypot(est1.standard_error, est2.standard_error)
-
+    flux1, err1 = mesh_quadrature(extract(base, t1, domain, h), lhs_weight)
+    flux2, err2 = mesh_quadrature(extract(base, t2, domain, h), lhs_weight)
+    lhs = flux2 - flux1
+    lhs_err = err2 + err1
     vol = domain.volume()
     n_samples = int(n_samples)
 
@@ -452,14 +431,19 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
 # Monotonicity formula machinery
 
 
+def _decrease_violation(vals):
+    """Largest drop (earlier - later)_+ over all pairs of `vals`: 0 exactly
+    when the sequence is non-decreasing."""
+    run = np.maximum.accumulate(vals)
+    return float(np.max(run[:-1] - vals[1:], initial=0.0))
+
+
 def _monotone_report(grid, values, errors, direction):
     vals = np.asarray(values, dtype=float)
     if direction == "non-decreasing":
-        run = np.maximum.accumulate(vals)
-        violation = float(np.max(run[:-1] - vals[1:], initial=0.0))
+        violation = _decrease_violation(vals)
     elif direction == "non-increasing":
-        run = np.minimum.accumulate(vals)
-        violation = float(np.max(vals[1:] - run[:-1], initial=0.0))
+        violation = _decrease_violation(-vals)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     errors = np.asarray(errors, dtype=float)
@@ -506,9 +490,8 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
         # near-critical facets are bounded by the flagging floor instead of failing
         return 1.0 / ((cents**2).sum(axis=1) * np.maximum(gradnorms, floor))
 
-    (I, J), _, flagged = ball_radial_profiles(
-        P, t0, r_grid, np.zeros(n), h, h / 8.0 if h_min is None else h_min,
-        [lambda cents, gradnorms, floor: gradnorms, w_J])
+    (I, J), info = radial_profile(P, t0, r_grid, h=h, h_min=h / 8.0 if h_min is None else h_min,
+                                  weight_fns=(_gradnorm_weight, w_J))
     G = I - k**2 * t0**2 * J
     dG = (G[2:] - G[:-2]) / (2.0 * dr)
     rhs = (n + k - 2) * I[1:-1] / r_grid[1:-1]
@@ -527,7 +510,7 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
         details={
             "r": r_grid, "I": I, "J": J,
             "dG": dG, "rhs": rhs,
-            "n_flagged_facets": flagged,
+            "n_flagged_facets": info["n_flagged"],
         },
     )
 
@@ -540,7 +523,7 @@ def monotonicity_check(P, t, r_grid, h=0.02, h_min=None):
         raise FieldError("degree must be at least 1")
     e = n + k - 2
     r_grid = np.asarray(r_grid, dtype=float)
-    I, _ = radial_profile(P, t, None, r_grid, h=h, h_min=h_min)
+    (I,), _ = radial_profile(P, t, r_grid, h=h, h_min=h_min)
     F = I / r_grid**e
     errors = MESH_ERR_COEFF * h * F + 1e-12 * max(float(F.max(initial=0.0)), 1.0)
     return _monotone_report(r_grid, F, errors, "non-decreasing")
@@ -716,7 +699,7 @@ def explore_general_monotonicity(f, x0, r_grid, exponents=None, h=0.02):
         exponents = sorted({n - 1, n + k_top - 2})
     r_grid = np.asarray(r_grid, dtype=float)
 
-    I, info = radial_profile(f, 0.0, None, r_grid, center=x0, h=h)
+    (I,), info = radial_profile(f, 0.0, r_grid, center=x0, h=h)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log(r_grid)
         log_I = np.where(I > 0, np.log(np.maximum(I, 1e-300)), np.nan)

@@ -362,7 +362,7 @@ COMMANDS = {
         "pointwise weighted-mean-curvature identity",
         lambda args, target: analysis.curvature_identity_check(
             target["field"], n_points=args.N, seed=args.seed, domain=target["domain"]),
-        n=1000,
+        n=1024,
     ),
     "divergence": _Command(
         "slab flux balance identity",
@@ -468,7 +468,7 @@ _SUITE = (
      {"preset": "torus-sin", "measure": "mu", "N": 200_000, "bins": 32}, None, True),
     ("unimodal-sigma-fails", "unimodal",
      {"preset": "torus-sin", "measure": "sigma", "N": 200_000, "bins": 32}, "unimodal_sigma.json", False),
-    *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 500}, f"curvature_{preset}.json", True)
+    *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 1024}, f"curvature_{preset}.json", True)
       for preset in ("torus-sin", "p=x3", "x2-y2", "box-dirichlet", "box-neumann", "hermite-gaussian")),
     ("divergence-torus", "divergence",
      {"preset": "torus-sin", "N": 200_000, "h": 0.005, "t1": None, "t2": None}, None, True),
@@ -524,7 +524,7 @@ def _build_parser():
         p.add_argument("--N", type=_parse_count, default=spec.n)
         p.add_argument("--bins", type=int, default=64)
         p.add_argument("--h", type=float, default=spec.h)
-        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--delta", type=float, default=None, help="central-difference step dt (deriv)")
         p.add_argument("--t", type=float, default=None)
         p.add_argument("--t1", type=float, default=None)
         p.add_argument("--t2", type=float, default=None)

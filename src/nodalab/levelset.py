@@ -7,7 +7,8 @@ shared by the facets that meet it.  Domain clipping uses recursive facet
 subdivision and centroid classification, an O(h) geometric error model.
 Radial profiles refine facets to diameter h_min in closed form, from one
 barycentric sub-facet centroid table per (vertices per facet, depth).
-A coarea thin-shell Monte Carlo estimator covers any dimension.
+A coarea thin-shell Monte Carlo estimator gives level-set integrals by an
+independent method, to check the meshes against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -259,7 +260,6 @@ class LevelSetMesh:
     centroids: np.ndarray  # (F, dim)
     gradnorms: np.ndarray  # (F,)
     n_flagged: int = 0
-    h_min: float = dataclass_field(default=0.0)
 
     @property
     def n_facets(self):
@@ -402,17 +402,6 @@ def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns):
                 contrib = np.repeat(areas[f0:f0 + step], len(part)) * fn(cents, gradnorms, floor)
                 s += np.bincount(idx, weights=contrib, minlength=bins + 1)[:bins]
     return [np.cumsum(s) for s in sums], flagged
-
-
-def ball_radial_profiles(field, t, r_grid, center, h, h_min, weight_fns):
-    """Cumulative profiles of each weight in `weight_fns` (callables as in
-    `streamed_radial_sums`) over {f = t} within the balls B(center, r_j), from
-    one mesh of the largest ball.  Returns (profiles, n_facets, n_flagged)."""
-    mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
-    if mesh.is_empty():
-        return [np.zeros(len(r_grid)) for _ in weight_fns], 0, 0
-    profiles, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
-    return profiles, mesh.n_facets, flagged
 
 
 def _clip_facets(verts, domain, h_min):
@@ -568,7 +557,6 @@ def extract(field, t, domain, h, h_min=None):
         centroids=centroids,
         gradnorms=gradnorms,
         n_flagged=n_flagged,
-        h_min=float(h_min),
     )
 
 
@@ -576,49 +564,31 @@ def extract(field, t, domain, h, h_min=None):
 # Radial profiles
 
 
-def radial_profile(
-    field,
-    t,
-    weight,
-    r_grid,
-    center=None,
-    h=0.02,
-    h_min=None,
-    mc_delta=None,
-    mc_samples=10**6,
-    seed=0,
-):
-    """I(r_j) = integral of `weight` over {f = t} within the ball B(center, r_j).
+def _gradnorm_weight(centroids, gradnorms, floor):
+    """The weight |grad f| in the protocol of `streamed_radial_sums`."""
+    return gradnorms
 
-    Mesh facets are subdivided to diameter h_min and binned by centroid
-    radius (cumulative sums), so the profile is non-decreasing in j for
-    non-negative weights.  Dimensions outside {2, 3} fall back to one
-    thin-shell estimate per radius.
+
+def radial_profile(field, t, r_grid, center=None, h=0.02, h_min=None,
+                   weight_fns=(_gradnorm_weight,)):
+    """Cumulative profiles I(r_j) = integral over {f = t} within the ball
+    B(center, r_j) of each weight in `weight_fns` (callables (centroids,
+    gradnorms, floor) -> weights, as in `streamed_radial_sums`).
+
+    One `extract` mesh of the largest ball, at resolution h, is refined to
+    facet diameter h_min (default h / 4) and binned by centroid radius, so a
+    profile of a non-negative weight is non-decreasing in j.  Dimensions 2
+    and 3, as `extract`.  Returns (profiles, {"n_facets", "n_flagged"}).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
         raise LevelSetError("r-grid must be strictly increasing and positive")
-    n = field.dimension
-    if center is None:
-        center = np.zeros(n)
-    center = np.asarray(center, dtype=float)
-
-    if n not in (2, 3):
-        values = []
-        delta = mc_delta
-        for j, r in enumerate(r_grid):
-            ball = Domain.ball(center, r)
-            d = delta if delta is not None else default_shell_width(ball)
-            est = thin_shell(field, t, weight, ball, d, mc_samples, seed + j)
-            values.append(est.value)
-        return np.array(values), {"mode": "thin_shell", "n_facets": 0, "n_flagged": 0}
-
+    center = np.zeros(field.dimension) if center is None else np.asarray(center, dtype=float)
     if h_min is None:
         h_min = h / 4.0
-    (values,), n_facets, flagged = ball_radial_profiles(
-        field, t, r_grid, center, h, h_min,
-        [lambda cents, gradnorms, floor: _weight_values(weight, cents, gradnorms)])
-    return values, {"mode": "mesh", "n_facets": n_facets, "n_flagged": flagged}
+    mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
+    profiles, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
+    return profiles, {"n_facets": mesh.n_facets, "n_flagged": flagged}
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_03_curvature_identity_all_presets():
     ok = True
     for name, make in cli._preset_table().items():
         field = make()["field"]
-        rep = an.curvature_identity_check(field, n_points=1000, seed=0)
+        rep = an.curvature_identity_check(field, n_points=1024, seed=0)
         worst = max(worst, rep.discrepancy)
         ok = ok and rep.passed and rep.discrepancy <= 1e-9
     elapsed = time.time() - start

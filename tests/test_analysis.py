@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nodalab.fields import (
+    FieldError,
     GaussianWeight,
     SparsePolynomial,
     WeightedField,
@@ -148,9 +149,19 @@ class TestCurvatureIdentity:
         ],
     )
     def test_identity_holds_to_machine_precision(self, field):
-        rep = an.curvature_identity_check(field, n_points=300, seed=0)
+        rep = an.curvature_identity_check(field, n_points=1024, seed=0)
         assert rep.passed
         assert rep.discrepancy <= 1e-9
+
+    @pytest.mark.parametrize("n_points", [1, 500, 1000, levelset._MC_CHUNK + 1])
+    def test_reports_the_points_requested(self, n_points):
+        rep = an.curvature_identity_check(X2Y2, n_points=n_points, seed=3)
+        assert rep.passed
+        assert rep.details["n_points"] == n_points
+
+    def test_no_regular_point_raises(self):
+        with pytest.raises(FieldError):
+            an.curvature_identity_check(SparsePolynomial(2, {(0, 0): Fraction(1)}), n_points=2000)
 
 
 class TestDivergenceIdentity:
@@ -195,6 +206,11 @@ class TestDivergenceIdentity:
     def test_empty_slab_raises(self):
         with pytest.raises(LevelSetError):
             an.divergence_identity_check(TORUS_F, 2.0, 3.0, TORUS, n_samples=50_000, seed=0)
+
+    def test_four_dimensions_raise(self):
+        torus4 = make_torus_eigenfunction([((1, 0, 0, 0), 0.0, 1.0)])
+        with pytest.raises(LevelSetError):
+            an.divergence_identity_check(torus4, 0.0, 0.5, n_samples=10**4)
 
     def test_levels_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -280,6 +296,13 @@ class TestHomogeneousChecks:
         J = np.asarray(rep.details["J"])
         assert np.allclose(J, math.pi * np.log(r**2 / 0.25), rtol=5e-3, atol=5e-3)
 
+    def test_four_dimensions_raise(self):
+        x4 = SparsePolynomial(4, {(0, 0, 0, 1): Fraction(1)})
+        with pytest.raises(LevelSetError):
+            an.monotonicity_check(x4, 0.3, np.linspace(0.6, 1.2, 7))
+        with pytest.raises(LevelSetError):
+            an.prop51_check(x4, 0.3, np.linspace(0.6, 1.2, 7))
+
     def test_prop51_validates_inputs(self):
         r = np.linspace(0.7, 1.5, 9)
         with pytest.raises(ValueError):
@@ -332,6 +355,11 @@ class TestExploration:
     def test_requires_nodal_base_point(self):
         with pytest.raises(Exception):
             an.explore_general_monotonicity(self.MIX, [1.0, 0.0], np.linspace(0.2, 1.0, 5))
+
+    def test_four_dimensions_raise(self):
+        x1x2 = SparsePolynomial(4, {(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(-1)})
+        with pytest.raises(LevelSetError):
+            an.explore_general_monotonicity(x1x2, [0.0] * 4, np.linspace(0.2, 1.0, 5))
 
     def test_table_structure_and_slopes(self):
         r = np.linspace(0.2, 1.2, 11)

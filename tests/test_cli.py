@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nodalab import cli
+from nodalab.fields import field_to_json, make_torus_eigenfunction
 
 
 def run_cli(args):
@@ -76,6 +77,15 @@ class TestExitCodes:
         ])
         assert code == 0
 
+    def test_four_dimensional_field_is_config_error(self, tmp_path, capsys):
+        # level-set meshes exist in 2D and 3D only
+        path = tmp_path / "torus4.json"
+        path.write_text(json.dumps({"field": field_to_json(make_torus_eigenfunction([((1, 0, 0, 0), 0.0, 1.0)]))}))
+        code = run_cli(["divergence", "--field", str(path), "--N", "1e4", "--out", str(tmp_path / "out"),
+                        "--no-plot"])
+        assert code == 2
+        assert "dimensions 2 and 3" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_density_writes_reports_with_config(self, tmp_path):
@@ -110,7 +120,7 @@ class TestOutputs:
         path = tmp_path / "field.json"
         path.write_text(json.dumps(spec))
         code = run_cli([
-            "curvature", "--field", str(path), "--N", "200",
+            "curvature", "--field", str(path), "--N", "1024",
             "--out", str(tmp_path / "out"), "--no-plot",
         ])
         assert code == 0

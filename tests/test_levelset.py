@@ -244,8 +244,7 @@ class TestSubdivisionAndProfiles:
 
     def test_radial_profile_monotone_and_matches_closed_form(self):
         r = np.linspace(0.6, 1.4, 9)
-        vals, info = radial_profile(X3, 0.5, None, r, h=0.02)
-        assert info["mode"] == "mesh"
+        (vals,), info = radial_profile(X3, 0.5, r, h=0.02)
         assert np.all(np.diff(vals) >= 0)
         truth = math.pi * (r**2 - 0.25)
         assert np.allclose(vals, truth, rtol=5e-3)
@@ -256,12 +255,18 @@ class TestSubdivisionAndProfiles:
         (vals,), _ = streamed_radial_sums(
             X3, mesh, np.zeros(3), r, 0.0125, [lambda c, g, floor: g]
         )
-        direct, _ = radial_profile(X3, 0.5, None, r, h=0.05, h_min=0.0125)
+        (direct,), _ = radial_profile(X3, 0.5, r, h=0.05, h_min=0.0125)
         assert np.allclose(vals, direct, rtol=1e-10)
+
+    def test_profile_of_an_empty_level_is_zero(self):
+        profiles, info = radial_profile(X3, 5.0, np.array([0.5, 1.0]), h=0.1,
+                                        weight_fns=(lambda c, g, floor: g, lambda c, g, floor: 1 / g))
+        assert [p.tolist() for p in profiles] == [[0.0, 0.0], [0.0, 0.0]]
+        assert info == {"n_facets": 0, "n_flagged": 0}
 
     def test_profile_rejects_bad_grid(self):
         with pytest.raises(LevelSetError):
-            radial_profile(X3, 0.5, None, np.array([1.0, 0.5]), h=0.05)
+            radial_profile(X3, 0.5, np.array([1.0, 0.5]), h=0.05)
 
 
 class TestExport:
