@@ -13,9 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .fields import (
-    ConstantWeight,
     FieldError,
-    GradientNormField,
     SparsePolynomial,
     TrigEigenfunction,
     WeightedField,
@@ -27,9 +25,8 @@ from .levelset import (
     Domain,
     JsonRecord,
     LevelSetError,
-    MESH_ERR_COEFF,
     _chunk_rng,
-    _gradnorm_weight,
+    _critical_floor,
     _map_chunks,
     _mean_and_se,
     default_shell_width,
@@ -263,8 +260,7 @@ def curvature_identity_check(field, n_points=1024, seed=0, domain=None):
         pts = domain.sample(size, rng)
         _, g, hess = base.jet(pts, 2)
         norms = np.linalg.norm(g, axis=1)
-        scale = norms.max() if norms.max() > 0 else 1.0
-        regular = norms >= 1e-6 * scale
+        regular = (norms > 0) & (norms >= _critical_floor(norms))
         if not regular.any():
             return 0.0, 0
         pts = pts[regular]
@@ -320,29 +316,19 @@ def flag_near_critical(field, t, domain, seed=0, n_samples=200_000):
     return True  # empty or unresolvable shell: treat as suspicious
 
 
-def _resolve_rho(field, rho):
-    if rho is None:
-        return ConstantWeight(field.dimension, 1.0)
-    if isinstance(rho, str):
-        if rho == "gradnorm":
-            return GradientNormField(field)
-        raise ValueError(f"unknown weight spec {rho!r}")
-    if isinstance(rho, (int, float)):
-        return ConstantWeight(field.dimension, float(rho))
-    return rho
-
-
-def levelset_derivative_check(field, rho, t, dt, domain=None, h=0.01, seed=0):
-    """Central difference of A(s) = int_{Z_s} rho against the weighted
-    mean curvature integral -int_{Z_t} H_rho / |grad f|.
-
-    With rho = |grad f| this is the eigenfunction derivative identity
-    dA/dt = int_{Z_t} Delta f / |grad f|.
+def levelset_derivative_check(field, t, dt, domain=None, h=0.01, seed=0):
+    """Central difference of A(s) = int_{Z_s} |grad f| against the weighted
+    mean curvature integral -int_{Z_t} H_rho / |grad f| with rho = |grad f|,
+    H_rho = |grad f| H - Hess f(N, N): the eigenfunction derivative identity
+    dA/dt = int_{Z_t} Delta f / |grad f|.  Both sides are `mesh_quadrature`
+    integrals with its error bounds.  t must be finite, and dt finite and
+    positive.
     """
+    if not (math.isfinite(t) and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite level t and a finite and positive step dt, got {t!r}, {dt!r}")
     base = field.base if isinstance(field, WeightedField) else field
     if domain is None:
         domain = default_domain(field)
-    rho_f = _resolve_rho(base, rho)
 
     for s in (t - dt, t, t + dt):
         if flag_near_critical(base, s, domain, seed=seed):
@@ -353,15 +339,14 @@ def levelset_derivative_check(field, rho, t, dt, domain=None, h=0.01, seed=0):
                 details={"reason": f"level {s} flagged near-critical"},
             )
 
-    a_plus, e_plus = mesh_quadrature(extract(base, t + dt, domain, h), rho_f)
-    a_minus, e_minus = mesh_quadrature(extract(base, t - dt, domain, h), rho_f)
+    a_plus, e_plus = mesh_quadrature(extract(base, t + dt, domain, h))
+    a_minus, e_minus = mesh_quadrature(extract(base, t - dt, domain, h))
     lhs = (a_plus - a_minus) / (2.0 * dt)
     lhs_err = (e_plus + e_minus) / (2.0 * dt)
 
-    def h_rho_over_gradnorm(pts):
-        N, norms, _, H, _ = _level_curvature(base, pts, *base.jet(pts, 2)[1:])
-        rho, grad_rho = rho_f.jet(pts, 1)
-        return (rho * H - np.einsum("ni,ni->n", grad_rho, N)) / norms
+    def h_rho_over_gradnorm(pts, gradnorms, floor):
+        _, norms, hNN, H, _ = _level_curvature(base, pts, *base.jet(pts, 2)[1:])
+        return (norms * H - hNN) / norms
 
     flux, rhs_err = mesh_quadrature(extract(base, t, domain, h), h_rho_over_gradnorm)
     rhs = -flux
@@ -390,12 +375,10 @@ def divergence_identity_check(field, t1, t2, domain=None, n_samples=10**6, seed=
     ):
         raise ValueError("Dirichlet case requires sgn(t1) = sgn(t2)")
 
-    def lhs_weight(pts):
-        w = base.grad_norm(pts)
-        if weighted:
-            w = w * field.weight_values(pts)
-        return w
+    def weighted_flux(pts, gradnorms, floor):
+        return gradnorms * field.weight_values(pts)
 
+    lhs_weight = weighted_flux if weighted else None
     flux1, err1 = mesh_quadrature(extract(base, t1, domain, h), lhs_weight)
     flux2, err2 = mesh_quadrature(extract(base, t2, domain, h), lhs_weight)
     lhs = flux2 - flux1
@@ -459,11 +442,6 @@ def _monotone_report(grid, values, errors, direction):
     )
 
 
-def monotonicity_report_from_values(grid, values, errors, direction="non-decreasing"):
-    """Detector entry point for externally supplied sequences (sanity tests)."""
-    return _monotone_report(grid, values, errors, direction)
-
-
 def _homogeneous_data(P):
     k = P.homogeneous_degree()
     if k is None:
@@ -471,7 +449,7 @@ def _homogeneous_data(P):
     return P.dimension, k
 
 
-def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
+def prop51_check(P, t0, r_grid, h=0.01, h_min=None, rel_tol=0.03):
     """Sphere-flux identity on {P = t0}: central differences of
     I(r) - k^2 t0^2 J(r) against (n+k-2) I(r) / r."""
     n, k = _homogeneous_data(P)
@@ -481,8 +459,7 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
     steps = np.diff(r_grid)
     if len(r_grid) < 3 or np.any(steps <= 0):
         raise ValueError("need an increasing r-grid with at least 3 points")
-    if dr is None:
-        dr = float(steps[0])
+    dr = float(steps[0])
     if not np.allclose(steps, dr, rtol=1e-9):
         raise ValueError("r-grid must be uniform for central differences")
 
@@ -490,8 +467,8 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
         # near-critical facets are bounded by the flagging floor instead of failing
         return 1.0 / ((cents**2).sum(axis=1) * np.maximum(gradnorms, floor))
 
-    (I, J), info = radial_profile(P, t0, r_grid, h=h, h_min=h / 8.0 if h_min is None else h_min,
-                                  weight_fns=(_gradnorm_weight, w_J))
+    (I, J), _, info = radial_profile(P, t0, r_grid, h=h, h_min=h / 8.0 if h_min is None else h_min,
+                                     weight_fns=(None, w_J))
     G = I - k**2 * t0**2 * J
     dG = (G[2:] - G[:-2]) / (2.0 * dr)
     rhs = (n + k - 2) * I[1:-1] / r_grid[1:-1]
@@ -517,15 +494,15 @@ def prop51_check(P, t0, r_grid, dr=None, h=0.01, h_min=None, rel_tol=0.03):
 
 def monotonicity_check(P, t, r_grid, h=0.02, h_min=None):
     """F(r) = I(r) / r^(n+k-2) for the level set {P = t}, checked to be
-    non-decreasing within the first-order quadrature error model."""
+    non-decreasing within the error bounds of `radial_profile`."""
     n, k = _homogeneous_data(P)
     if k < 1:
         raise FieldError("degree must be at least 1")
     e = n + k - 2
     r_grid = np.asarray(r_grid, dtype=float)
-    (I,), _ = radial_profile(P, t, r_grid, h=h, h_min=h_min)
+    (I,), (bound,), _ = radial_profile(P, t, r_grid, h=h, h_min=h_min)
     F = I / r_grid**e
-    errors = MESH_ERR_COEFF * h * F + 1e-12 * max(float(F.max(initial=0.0)), 1.0)
+    errors = bound / r_grid**e + 1e-12 * max(float(F.max(initial=0.0)), 1.0)
     return _monotone_report(r_grid, F, errors, "non-decreasing")
 
 
@@ -699,7 +676,7 @@ def explore_general_monotonicity(f, x0, r_grid, exponents=None, h=0.02):
         exponents = sorted({n - 1, n + k_top - 2})
     r_grid = np.asarray(r_grid, dtype=float)
 
-    (I,), info = radial_profile(f, 0.0, r_grid, center=x0, h=h)
+    (I,), _, info = radial_profile(f, 0.0, r_grid, center=x0, h=h)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log(r_grid)
         log_I = np.where(I > 0, np.log(np.maximum(I, 1e-300)), np.nan)

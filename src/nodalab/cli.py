@@ -130,7 +130,7 @@ def _parse_grid(spec):
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi <= lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi <= lo:
         raise ConfigError(f"bad grid spec {spec!r}")
     count = int(round((hi - lo) / step)) + 1
     return np.linspace(lo, lo + step * (count - 1), count)
@@ -143,6 +143,14 @@ def _parse_count(text):
     if not (math.isfinite(v) and v >= 1 and v == int(v)):
         raise argparse.ArgumentTypeError(f"bad count {text!r}: expected a whole number >= 1")
     return int(v)
+
+
+def _parse_real(text):
+    """argparse type of --h, --delta, --t, --t1, --t2 and --tol: a finite number."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"bad number {text!r}: expected a finite value")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +382,7 @@ COMMANDS = {
     "deriv": _Command(
         "level-set derivative identity",
         lambda args, target: analysis.levelset_derivative_check(
-            target["field"], "gradnorm", _given(args.t, target["t"]), _given(args.delta, 0.01),
+            target["field"], _given(args.t, target["t"]), _given(args.delta, 0.01),
             domain=target["domain"], h=args.h, seed=args.seed),
         h=0.01,
     ),
@@ -523,11 +531,11 @@ def _build_parser():
         p.add_argument("--measure", default="mu", choices=["sigma", "mu", "weighted"])
         p.add_argument("--N", type=_parse_count, default=spec.n)
         p.add_argument("--bins", type=int, default=64)
-        p.add_argument("--h", type=float, default=spec.h)
-        p.add_argument("--delta", type=float, default=None, help="central-difference step dt (deriv)")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t1", type=float, default=None)
-        p.add_argument("--t2", type=float, default=None)
+        p.add_argument("--h", type=_parse_real, default=spec.h)
+        p.add_argument("--delta", type=_parse_real, default=None, help="central-difference step dt (deriv)")
+        p.add_argument("--t", type=_parse_real, default=None)
+        p.add_argument("--t1", type=_parse_real, default=None)
+        p.add_argument("--t2", type=_parse_real, default=None)
         p.add_argument("--rgrid", default=None, help="lo:hi:step")
         p.add_argument("--egrid", default=None, help="lo:hi:step")
         p.add_argument("--seed", type=int, default=0)
@@ -535,7 +543,7 @@ def _build_parser():
         p.add_argument("--plot", dest="plot", action="store_true", default=True)
         p.add_argument("--no-plot", dest="plot", action="store_false")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--tol", type=float, default=0.03, help="relative tolerance (prop51)")
+        p.add_argument("--tol", type=_parse_real, default=0.03, help="relative tolerance (prop51)")
     return parser
 
 

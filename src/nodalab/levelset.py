@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .fields import FieldError, ScalarField
+from .fields import FieldError
 
 # irrational grid-origin shift: keeps level values off the grid nodes
 _GRID_SHIFT = 0.2360679774997897
@@ -216,7 +216,8 @@ def thin_shell(field, t, g, domain, delta, n_samples, seed, workers=1):
 
     Uses int_{Z_t} g ~= (2 delta)^{-1} int_{|f-t|<delta} g |grad f|; bias is
     O(delta^2) at regular values.  A delta so large that the shell is
-    dominated by critical points is not detected.
+    dominated by critical points is not detected.  `g` is a weight as in
+    `_apply_weight`, called with floor 0.
     """
     if delta <= 0:
         raise LevelSetError("delta must be positive")
@@ -231,8 +232,7 @@ def thin_shell(field, t, g, domain, delta, n_samples, seed, workers=1):
         if inside.any():
             sub = pts[inside]
             grads = field.grad_norm(sub)
-            gv = _weight_values(g, sub, gradnorms=grads)
-            out[inside] = gv * grads
+            out[inside] = _apply_weight(g, sub, grads, 0.0) * grads
         return vol * out / (2.0 * delta)
 
     mean, se = mc_mean(domain, integrand, n_samples, seed, workers)
@@ -273,28 +273,25 @@ class LevelSetMesh:
         return self.n_facets == 0
 
 
-def _weight_values(weight, pts, gradnorms=None):
-    if weight is None:
-        if gradnorms is not None:
-            return gradnorms
-        raise LevelSetError("weight=None needs stored gradient norms")
-    if isinstance(weight, ScalarField):
-        return np.asarray(weight.value(pts), dtype=float)
-    if callable(weight):
-        return np.asarray(weight(pts), dtype=float)
-    return np.full(len(pts), float(weight))
+def _apply_weight(weight, pts, gradnorms, floor):
+    """The one weight protocol of the level-set integrals: None is |grad f|
+    (the `gradnorms` sampled at `pts`), anything else a callable
+    (pts, gradnorms, floor) -> weights, floor being the |grad f| below which
+    a point counts as near-critical."""
+    return gradnorms if weight is None else weight(pts, gradnorms, floor)
 
 
 def mesh_quadrature(mesh, weight=None):
     """(sum(area * w), MESH_ERR_COEFF * h * sum(area * |w|)): the level-set
     integral of `weight` by facet centroids and its first-order error bound.
 
-    `weight` is None (the stored |grad f| samples), a ScalarField, a callable
-    of the centroids, or a constant.
+    `weight` is as in `_apply_weight`: None takes the stored facet samples of
+    |grad f|, a callable gets the centroids, those samples and the mesh's
+    `_critical_floor`.
     """
     if mesh.is_empty():
         return 0.0, 0.0
-    w = _weight_values(weight, mesh.centroids, mesh.gradnorms)
+    w = _apply_weight(weight, mesh.centroids, mesh.gradnorms, _critical_floor(mesh.gradnorms))
     return (float((mesh.areas * w).sum()),
             MESH_ERR_COEFF * mesh.resolution * float((mesh.areas * np.abs(w)).sum()))
 
@@ -374,12 +371,15 @@ def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns):
     2^((n-1)L) congruent sub-facets: centroids `_subfacet_centroids(n, L)`,
     area / 2^((n-1)L) each.  None is built; the centroids go, at most
     _MC_CHUNK at a time, to `field.grad_norm` and into the `r_grid` cells by
-    distance from `center`, and each callable in `weight_fns` (centroids,
-    gradnorms, floor) -> weights is integrated; |grad f| below floor, the
-    mesh's `_critical_floor`, is flagged.  Returns (profiles, n_flagged)."""
+    distance from `center`, and each weight of `weight_fns` (as in
+    `_apply_weight`, with the mesh's `_critical_floor`) is integrated;
+    |grad f| below that floor is flagged.  Returns (profiles, bounds,
+    n_flagged), each bound the cumulative `mesh_quadrature` error bound
+    MESH_ERR_COEFF * h * sum(area * |w|) of its profile."""
     r_grid = np.asarray(r_grid, dtype=float)
     bins = len(r_grid)
     sums = [np.zeros(bins) for _ in weight_fns]
+    abs_sums = [np.zeros(bins) for _ in weight_fns]
     floor = _critical_floor(mesh.gradnorms)
     flagged = 0
     nv = mesh.vertices.shape[1]
@@ -398,10 +398,14 @@ def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns):
             gradnorms = field.grad_norm(cents)
             flagged += int((gradnorms < floor).sum())  # none when floor is 0
             idx = np.searchsorted(r_grid, np.linalg.norm(cents - center, axis=1), side="left")
-            for s, fn in zip(sums, weight_fns):
-                contrib = np.repeat(areas[f0:f0 + step], len(part)) * fn(cents, gradnorms, floor)
+            for s, a, fn in zip(sums, abs_sums, weight_fns):
+                # in place: no name keeps the weights alive, and |contrib| needs no second array
+                contrib = np.repeat(areas[f0:f0 + step], len(part))
+                contrib *= _apply_weight(fn, cents, gradnorms, floor)
                 s += np.bincount(idx, weights=contrib, minlength=bins + 1)[:bins]
-    return [np.cumsum(s) for s in sums], flagged
+                a += np.bincount(idx, weights=np.abs(contrib, out=contrib), minlength=bins + 1)[:bins]
+    coeff = MESH_ERR_COEFF * mesh.resolution
+    return [np.cumsum(s) for s in sums], [coeff * np.cumsum(a) for a in abs_sums], flagged
 
 
 def _clip_facets(verts, domain, h_min):
@@ -534,8 +538,8 @@ def extract(field, t, domain, h, h_min=None):
         raise FieldError("field/domain dimension mismatch")
     if n not in (2, 3):
         raise LevelSetError(f"mesh extraction supports dimensions 2 and 3, not {n}")
-    if h <= 0:
-        raise LevelSetError("resolution must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise LevelSetError(f"resolution must be finite and positive, got {h!r}")
     if h_min is None:
         h_min = h / 4.0
 
@@ -564,21 +568,18 @@ def extract(field, t, domain, h, h_min=None):
 # Radial profiles
 
 
-def _gradnorm_weight(centroids, gradnorms, floor):
-    """The weight |grad f| in the protocol of `streamed_radial_sums`."""
-    return gradnorms
-
-
-def radial_profile(field, t, r_grid, center=None, h=0.02, h_min=None,
-                   weight_fns=(_gradnorm_weight,)):
+def radial_profile(field, t, r_grid, center=None, h=0.02, h_min=None, weight_fns=(None,)):
     """Cumulative profiles I(r_j) = integral over {f = t} within the ball
-    B(center, r_j) of each weight in `weight_fns` (callables (centroids,
-    gradnorms, floor) -> weights, as in `streamed_radial_sums`).
+    B(center, r_j) of each weight in `weight_fns` (each None for |grad f| or
+    a callable (centroids, gradnorms, floor) -> weights, as in
+    `_apply_weight`), with their cumulative error bounds
+    MESH_ERR_COEFF * h * sum(area * |w|).
 
     One `extract` mesh of the largest ball, at resolution h, is refined to
     facet diameter h_min (default h / 4) and binned by centroid radius, so a
     profile of a non-negative weight is non-decreasing in j.  Dimensions 2
-    and 3, as `extract`.  Returns (profiles, {"n_facets", "n_flagged"}).
+    and 3, as `extract`.  Returns (profiles, bounds, {"n_facets",
+    "n_flagged"}).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
@@ -587,8 +588,8 @@ def radial_profile(field, t, r_grid, center=None, h=0.02, h_min=None,
     if h_min is None:
         h_min = h / 4.0
     mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
-    profiles, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
-    return profiles, {"n_facets": mesh.n_facets, "n_flagged": flagged}
+    profiles, bounds, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
+    return profiles, bounds, {"n_facets": mesh.n_facets, "n_flagged": flagged}
 
 
 # ---------------------------------------------------------------------------

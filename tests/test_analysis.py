@@ -11,6 +11,7 @@ import pytest
 from nodalab.fields import (
     FieldError,
     GaussianWeight,
+    ScalarField,
     SparsePolynomial,
     WeightedField,
     make_box_eigenfunction,
@@ -212,6 +213,13 @@ class TestDivergenceIdentity:
         with pytest.raises(LevelSetError):
             an.divergence_identity_check(torus4, 0.0, 0.5, n_samples=10**4)
 
+    def test_unweighted_flux_reuses_the_mesh_gradnorms(self, monkeypatch):
+        calls = []
+        grad_norm = ScalarField.grad_norm
+        monkeypatch.setattr(ScalarField, "grad_norm", lambda f, x: calls.append(len(x)) or grad_norm(f, x))
+        an.divergence_identity_check(TORUS_F, 0.0, 0.5, TORUS, n_samples=10**4, h=0.05)
+        assert len(calls) == 2  # the centroids of each extracted level, once
+
     def test_levels_must_be_ordered(self):
         with pytest.raises(ValueError):
             an.divergence_identity_check(TORUS_F, 0.5, 0.0, TORUS, n_samples=50_000, seed=0)
@@ -219,15 +227,22 @@ class TestDivergenceIdentity:
 
 class TestDerivativeIdentity:
     def test_torus_gradient_weight(self):
-        rep = an.levelset_derivative_check(TORUS_F, "gradnorm", 0.5, 0.01, domain=TORUS, h=0.005)
+        rep = an.levelset_derivative_check(TORUS_F, 0.5, 0.01, domain=TORUS, h=0.005)
         assert rep.passed and not rep.skipped
         # dpsi/dt of 4 pi sqrt(1-t^2) at t = 1/2
         expected = -4 * math.pi * 0.5 / math.sqrt(0.75)
         assert rep.lhs == pytest.approx(expected, rel=1e-2)
 
     def test_near_critical_level_is_skipped(self):
-        rep = an.levelset_derivative_check(TORUS_F, "gradnorm", 0.999, 0.005, domain=TORUS, h=0.005)
+        rep = an.levelset_derivative_check(TORUS_F, 0.999, 0.005, domain=TORUS, h=0.005)
         assert rep.skipped
+
+    @pytest.mark.parametrize("t, dt", [(0.5, 0.0), (0.5, -0.01), (0.5, math.nan), (0.5, math.inf),
+                                       (math.nan, 0.01), (math.inf, 0.01)])
+    def test_level_and_step_must_be_finite(self, t, dt):
+        # a non-finite level used to read as near-critical: skipped, and so passed
+        with pytest.raises(ValueError, match="finite"):
+            an.levelset_derivative_check(TORUS_F, t, dt, domain=TORUS, h=0.005)
 
 
 class TestNearCriticalFlag:
@@ -248,24 +263,24 @@ class TestNearCriticalFlag:
 class TestMonotoneReports:
     def test_increasing_passes(self):
         g = np.arange(5.0)
-        rep = an.monotonicity_report_from_values(g, g, np.zeros(5), "non-decreasing")
+        rep = an._monotone_report(g, g, np.zeros(5), "non-decreasing")
         assert rep.passed and rep.max_violation == 0.0
 
     def test_decreasing_fails(self):
         g = np.arange(5.0)
-        rep = an.monotonicity_report_from_values(g, -g, np.full(5, 0.01), "non-decreasing")
+        rep = an._monotone_report(g, -g, np.full(5, 0.01), "non-decreasing")
         assert not rep.passed
 
     def test_dip_within_errors_passes(self):
         vals = np.array([0.0, 1.0, 0.99, 2.0])
-        rep = an.monotonicity_report_from_values(
+        rep = an._monotone_report(
             np.arange(4.0), vals, np.full(4, 0.01), "non-decreasing"
         )
         assert rep.passed
 
     def test_non_increasing_direction(self):
         vals = np.array([3.0, 2.0, 2.5])
-        rep = an.monotonicity_report_from_values(
+        rep = an._monotone_report(
             np.arange(3.0), vals, np.zeros(3), "non-increasing"
         )
         assert not rep.passed
@@ -279,6 +294,13 @@ class TestHomogeneousChecks:
         assert rep.passed
         truth = math.pi * (1 - 0.25 / r**2)
         assert np.allclose(rep.values, truth, rtol=0.01)
+
+    def test_monotonicity_errors_are_the_profile_bounds(self):
+        r = np.linspace(0.6, 1.6, 6)
+        rep = an.monotonicity_check(X3, 0.5, r, h=0.05)
+        (I,), (bound,), _ = levelset.radial_profile(X3, 0.5, r, h=0.05)
+        assert np.array_equal(rep.values, I / r**2)
+        assert np.array_equal(rep.errors, bound / r**2 + 1e-12 * max(rep.values.max(), 1.0))
 
     def test_monotonicity_nodal_level_constant(self):
         r = np.linspace(0.5, 1.5, 6)

@@ -26,6 +26,9 @@ class TestParsing:
             cli._parse_grid("1:2")
         with pytest.raises(cli.ConfigError):
             cli._parse_grid("2:1:0.5")
+        for spec in ("0.6:inf:0.1", "nan:1:0.1", "0:1:inf", "-inf:1:0.5"):
+            with pytest.raises(cli.ConfigError, match="bad grid spec"):
+                cli._parse_grid(spec)
 
     def test_count_parsing(self):
         assert cli._parse_count("1e5") == 100_000
@@ -53,6 +56,28 @@ class TestExitCodes:
         argv = ["density", "--preset", "torus-sin", "--N", count, "--out", str(tmp_path)]
         assert run_cli(argv) == 2
         assert "bad count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["monotone", "--preset", "p=x3", "--t", "nan"],
+        ["divergence", "--preset", "torus-sin", "--h", "inf", "--N", "1e5"],
+        ["prop51", "--preset", "p=x3", "--t", "nan"],
+        ["prop51", "--preset", "p=x3", "--tol", "nan"],
+        ["robin", "--preset", "p=x3", "--t1", "nan"],
+        ["deriv", "--preset", "torus-sin", "--delta", "nan"],
+        ["deriv", "--preset", "torus-sin", "--t=inf"],
+    ], ids=" ".join)
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
+        assert "bad number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["monotone", "--preset", "p=x3", "--rgrid", "0.6:inf:0.1"],
+        ["deriv", "--preset", "torus-sin", "--delta", "0"],
+        ["deriv", "--preset", "torus-sin", "--delta=-0.01"],
+    ], ids=" ".join)
+    def test_bad_grid_or_step_is_config_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([

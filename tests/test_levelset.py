@@ -10,8 +10,10 @@ import pytest
 from nodalab.fields import ScalarField, SparsePolynomial, make_torus_eigenfunction
 from nodalab.levelset import (
     _MC_CHUNK,
+    MESH_ERR_COEFF,
     Domain,
     LevelSetError,
+    _critical_floor,
     _grid_axes,
     _split_facets,
     _subfacet_centroids,
@@ -92,8 +94,22 @@ class TestMonteCarlo:
 
     def test_thin_shell_circle_length(self):
         dom = Domain.box([-1, -1], [1, 1])
-        est = thin_shell(CIRCLE, 0.25, 1.0, dom, default_shell_width(dom), 10**6, seed=0)
+        est = thin_shell(CIRCLE, 0.25, lambda p, g, floor: np.ones(len(p)), dom,
+                         default_shell_width(dom), 10**6, seed=0)
         assert abs(est.value - math.pi) < 4 * est.standard_error
+
+    def test_thin_shell_weight_gets_points_gradnorms_and_zero_floor(self):
+        dom = Domain.box([-1, -1], [1, 1])
+        seen = []
+
+        def weight(pts, gradnorms, floor):
+            seen.append(floor)
+            assert np.allclose(gradnorms, CIRCLE.grad_norm(pts), rtol=1e-12)
+            return gradnorms
+
+        est = thin_shell(CIRCLE, 0.25, weight, dom, default_shell_width(dom), 10**4, seed=1)
+        assert est == thin_shell(CIRCLE, 0.25, None, dom, default_shell_width(dom), 10**4, seed=1)
+        assert seen and set(seen) == {0.0}
 
     def test_thin_shell_none_weight_uses_gradnorm(self):
         # int_{|x|^2 = 1/4} |grad| = 2 * 0.5 * (2 pi 0.5) = pi
@@ -152,6 +168,26 @@ class TestExtraction:
             assert m.areas.shape == (0,) and m.centroids.shape == (0, n) and m.gradnorms.shape == (0,)
             assert m.n_flagged == 0
             assert mesh_quadrature(m) == (0.0, 0.0)
+
+    def test_quadrature_weight_protocol(self):
+        m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.02)
+        floors = []
+
+        def signed(pts, gradnorms, floor):
+            floors.append(floor)
+            return np.where(pts[:, 0] > 0, gradnorms, -gradnorms)
+
+        value, bound = mesh_quadrature(m, signed)
+        assert floors == [_critical_floor(m.gradnorms)]
+        # the halves cancel; the bound integrates |w| = |grad f|
+        assert abs(value) < 1e-2 * weighted_area(m)
+        assert bound == weighted_area_error_bound(m)
+        assert bound == MESH_ERR_COEFF * m.resolution * float((m.areas * m.gradnorms).sum())
+
+    def test_non_finite_resolution_raises(self):
+        for h in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(LevelSetError):
+                extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), h)
 
     def test_gradnorms_match_field(self):
         m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.02)
@@ -215,8 +251,25 @@ class TestSubdivisionAndProfiles:
         m = extract(field, 0.25, Domain.box([-1] * n, [1] * n), 0.1)
         r = np.array([0.3, 0.6, 2.0])  # the last ball covers the whole mesh
         ones = [lambda c, g, floor: np.ones(len(c))]
-        (vals,), _ = streamed_radial_sums(field, m, np.zeros(n), r, 0.02, ones)
+        (vals,), (bound,), _ = streamed_radial_sums(field, m, np.zeros(n), r, 0.02, ones)
         assert vals[-1] == pytest.approx(m.total_area, rel=1e-12)
+        assert bound[-1] == pytest.approx(MESH_ERR_COEFF * m.resolution * m.total_area, rel=1e-12)
+
+    def test_bounds_are_cumulative_mesh_quadrature_bounds_of_abs_weight(self):
+        m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.1)
+        r = np.array([0.3, 0.51, 2.0])
+
+        def signed(c, g, floor):
+            return np.where(c[:, 2] > 0, g, -g)
+
+        (vals, gvals), (bound, gbound), _ = streamed_radial_sums(
+            SPHERE, m, np.zeros(3), r, 0.05, [signed, None])
+        # a sign change leaves |w| = |grad f| and so the bound unchanged
+        assert np.array_equal(bound, gbound)
+        assert np.all(np.diff(bound) >= 0) and bound[0] == 0.0
+        assert abs(vals[-1]) < 1e-3 * gvals[-1]  # the halves cancel up to the grid asymmetry
+        assert np.allclose(gbound, MESH_ERR_COEFF * m.resolution * gvals, rtol=1e-14)
+        assert gbound[-1] == pytest.approx(mesh_quadrature(m, signed)[1], rel=1e-3)
 
     def test_refined_batches_stay_within_the_chunk(self):
         class Counted(ScalarField):
@@ -238,30 +291,33 @@ class TestSubdivisionAndProfiles:
         f = Counted()
         m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.1)
         r = np.array([0.3, 0.6, 2.0])
-        streamed_radial_sums(f, m, np.zeros(3), r, m.resolution / 16, [lambda c, g, floor: g])
+        streamed_radial_sums(f, m, np.zeros(3), r, m.resolution / 16, [None])
         assert f.points > _MC_CHUNK
         assert 0 < f.largest <= _MC_CHUNK
 
     def test_radial_profile_monotone_and_matches_closed_form(self):
         r = np.linspace(0.6, 1.4, 9)
-        (vals,), info = radial_profile(X3, 0.5, r, h=0.02)
+        (vals,), (bound,), info = radial_profile(X3, 0.5, r, h=0.02)
         assert np.all(np.diff(vals) >= 0)
+        assert np.allclose(bound, MESH_ERR_COEFF * 0.02 * vals, rtol=1e-14)
         truth = math.pi * (r**2 - 0.25)
         assert np.allclose(vals, truth, rtol=5e-3)
 
     def test_streamed_sums_equal_radial_profile(self):
         r = np.linspace(0.6, 1.4, 9)
         mesh = extract(X3, 0.5, Domain.ball([0.0] * 3, 1.4), 0.05, h_min=0.0125)
-        (vals,), _ = streamed_radial_sums(
+        (vals,), (bound,), _ = streamed_radial_sums(
             X3, mesh, np.zeros(3), r, 0.0125, [lambda c, g, floor: g]
         )
-        (direct,), _ = radial_profile(X3, 0.5, r, h=0.05, h_min=0.0125)
+        (direct,), (direct_bound,), _ = radial_profile(X3, 0.5, r, h=0.05, h_min=0.0125)
         assert np.allclose(vals, direct, rtol=1e-10)
+        assert np.allclose(bound, direct_bound, rtol=1e-10)
 
     def test_profile_of_an_empty_level_is_zero(self):
-        profiles, info = radial_profile(X3, 5.0, np.array([0.5, 1.0]), h=0.1,
-                                        weight_fns=(lambda c, g, floor: g, lambda c, g, floor: 1 / g))
+        profiles, bounds, info = radial_profile(X3, 5.0, np.array([0.5, 1.0]), h=0.1,
+                                                weight_fns=(None, lambda c, g, floor: 1 / g))
         assert [p.tolist() for p in profiles] == [[0.0, 0.0], [0.0, 0.0]]
+        assert [b.tolist() for b in bounds] == [[0.0, 0.0], [0.0, 0.0]]
         assert info == {"n_facets": 0, "n_flagged": 0}
 
     def test_profile_rejects_bad_grid(self):
