@@ -287,7 +287,7 @@ def curvature_identity_check(field, n_points=1024, seed=0, domain=None):
     )
 
 
-def flag_near_critical(field, t, domain, seed=0, n_samples=200_000):
+def flag_near_critical(field, t, domain, seed=0):
     """Heuristic near-critical level detector.
 
     A level is flagged when its thin shell cannot be populated (empty or
@@ -296,7 +296,7 @@ def flag_near_critical(field, t, domain, seed=0, n_samples=200_000):
     samples sit below 1e-3 of the global median (partial degeneracy).
     """
     delta = default_shell_width(domain)
-    pts = domain.sample(n_samples, _chunk_rng(seed, 1 << 30))
+    pts = domain.sample(200_000, _chunk_rng(seed, 1 << 30))
     vals = field.value(pts)
     med_global = float(np.median(field.grad_norm(pts)))
     if t >= float(vals.max()) or t <= float(vals.min()):
@@ -657,9 +657,10 @@ def robin_identity_check(P, t1, t2, h=0.01, quad_nodes=10**6):
 # Exploration: non-homogeneous harmonic nodal sets
 
 
-def explore_general_monotonicity(f, x0, r_grid, exponents=None, h=0.02):
-    """Tabulate r -> r^-e * int_{Z_0 in B(x0, r)} |grad f| for candidate
-    exponents e, with local log-log slopes and monotone-violation counts.
+def explore_general_monotonicity(f, x0, r_grid, h=0.02):
+    """Tabulate r -> r^-e * int_{Z_0 in B(x0, r)} |grad f| for the candidate
+    exponents e in {n - 1, n + k - 2}, k the degree of f, with local log-log
+    slopes and monotone-violation counts.
 
     Exploratory output only; no pass/fail is attached.
     """
@@ -672,8 +673,7 @@ def explore_general_monotonicity(f, x0, r_grid, exponents=None, h=0.02):
         raise FieldError("x0 must lie on the nodal set (|f(x0)| <= 1e-10)")
     n = f.dimension
     k_top = f.total_degree()
-    if exponents is None:
-        exponents = sorted({n - 1, n + k_top - 2})
+    exponents = sorted({n - 1, n + k_top - 2})
     r_grid = np.asarray(r_grid, dtype=float)
 
     (I,), _, info = radial_profile(f, 0.0, r_grid, center=x0, h=h)

@@ -118,10 +118,13 @@ def _load_target(args):
     if args.field:
         with open(args.field, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        field_doc = doc.get("field", doc)
-        field = field_from_json(field_doc)
-        domain = Domain.from_json(doc["domain"]) if "domain" in doc else analysis.default_domain(field)
-        return {"field": field, "domain": domain, "t1": 0.0, "t2": 0.5, "t": 0.5}
+        try:
+            field = field_from_json(doc.get("field", doc))
+            domain = Domain.from_json(doc["domain"]) if "domain" in doc else None
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad field document {args.field}: {type(exc).__name__}: {exc}") from exc
+        return {"field": field, "domain": domain or analysis.default_domain(field),
+                "t1": 0.0, "t2": 0.5, "t": 0.5}
     raise ConfigError("one of --preset or --field is required")
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,23 +43,6 @@ def _as_points(x, dim):
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise FieldError(f"expected points of dimension {dim}, got shape {np.asarray(x).shape}")
     return pts, single
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Value and derivatives of a field at one point."""
-
-    point: np.ndarray
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    laplacian: float
-
-    def __post_init__(self):
-        tr = float(np.trace(self.hessian))
-        scale = 1.0 + abs(tr) + abs(self.laplacian)
-        if abs(tr - self.laplacian) > 1e-12 * scale:
-            raise FieldError(f"laplacian {self.laplacian} inconsistent with hessian trace {tr}")
 
 
 class ScalarField:
@@ -103,19 +85,6 @@ class ScalarField:
     def grad_norm(self, x):
         return np.linalg.norm(self.gradient(x), axis=-1)
 
-    def eval(self, point) -> FieldSample:
-        pts, single = _as_points(point, self.dimension)
-        if not single:
-            raise FieldError("eval takes a single point; use value/gradient for batches")
-        value, gradient, hessian = self.jet(pts, 2)
-        return FieldSample(
-            point=pts[0],
-            value=float(value[0]),
-            gradient=np.asarray(gradient[0], dtype=float),
-            hessian=np.asarray(hessian[0], dtype=float),
-            laplacian=float(self.laplacian(pts)[0]),
-        )
-
 
 # `perfbench/spans.py` wraps `value`, `gradient` and `hessian` in each family's
 # own class dict, so every family below binds these views itself.
@@ -152,7 +121,10 @@ def _to_coeff(c):
         return c
     if isinstance(c, int):
         return Fraction(c)
-    return float(c)
+    c = float(c)
+    if not math.isfinite(c):
+        raise FieldError(f"coefficient must be finite, got {c!r}")
+    return c
 
 
 class SparsePolynomial(ScalarField):
@@ -186,12 +158,6 @@ class SparsePolynomial(ScalarField):
     @classmethod
     def constant(cls, dimension, c):
         return cls(dimension, {(0,) * dimension: c})
-
-    @classmethod
-    def coordinate(cls, dimension, i, coeff=1):
-        exps = [0] * dimension
-        exps[i] = 1
-        return cls(dimension, {tuple(exps): coeff})
 
     @classmethod
     def monomial(cls, dimension, exps, coeff=1):
@@ -400,7 +366,10 @@ class TrigEigenfunction(ScalarField):
                 raise FieldError("Dirichlet modes need strictly positive k entries")
             if flavor == BOX_NEUMANN and (any(v < 0 for v in k) or all(v == 0 for v in k)):
                 raise FieldError("Neumann modes need non-negative k, not all zero")
-            clean.append((k, *map(float, amps)))
+            amps = tuple(map(float, amps))
+            if not all(map(math.isfinite, amps)):
+                raise FieldError(f"mode {k} has a non-finite amplitude")
+            clean.append((k, *amps))
         norms = {sum(v * v for v in k) for k, *_ in clean}
         if len(norms) > 1:
             raise FieldError(f"modes of different |m|^2: {sorted(norms)}")
@@ -446,7 +415,7 @@ class TrigEigenfunction(ScalarField):
         return -self.eigenvalue * self.value(x)
 
 
-def make_torus_eigenfunction(modes, dimension=None):
+def make_torus_eigenfunction(modes):
     """Build a torus eigenfunction from (m, cos_amp, sin_amp) modes.
 
     All modes must share |m|^2; the eigenvalue is 4 pi^2 |m|^2.
@@ -454,18 +423,16 @@ def make_torus_eigenfunction(modes, dimension=None):
     modes = list(modes)
     if not modes:
         raise FieldError("empty mode list")
-    if dimension is None:
-        dimension = len(modes[0][0])
-    return TrigEigenfunction(TORUS, modes, dimension)
+    return TrigEigenfunction(TORUS, modes, len(modes[0][0]))
 
 
-def make_box_eigenfunction(k, flavor, amplitude=1.0):
+def make_box_eigenfunction(k, flavor):
     """Product eigenfunction on [0,1]^n: sin factors (Dirichlet) or cos (Neumann)."""
     k = tuple(int(v) for v in k)
     if flavor not in ("dirichlet", "neumann"):
         raise FieldError(f"flavor must be 'dirichlet' or 'neumann', got {flavor!r}")
     name = BOX_DIRICHLET if flavor == "dirichlet" else BOX_NEUMANN
-    return TrigEigenfunction(name, [(k, amplitude)], len(k))
+    return TrigEigenfunction(name, [(k, 1.0)], len(k))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +488,8 @@ class ConstantWeight(ScalarField):
     def __init__(self, dimension, c=1.0):
         self.dimension = int(dimension)
         self.c = float(c)
+        if not math.isfinite(self.c):
+            raise FieldError(f"constant weight must be finite, got {self.c!r}")
 
     def _jet(self, pts, order):
         shape = (len(pts),)
@@ -666,6 +635,8 @@ def field_from_json(doc):
         modes = [(tuple(m["m"]), float(m["cos"]), float(m["sin"])) for m in doc["modes"]]
         return TrigEigenfunction(TORUS, modes, doc["dimension"])
     if kind == "box":
+        if doc["flavor"] not in ("dirichlet", "neumann"):
+            raise FieldError(f"box flavor must be 'dirichlet' or 'neumann', got {doc['flavor']!r}")
         flavor = BOX_DIRICHLET if doc["flavor"] == "dirichlet" else BOX_NEUMANN
         if "modes" in doc:
             modes = [(tuple(m["k"]), float(m["amplitude"])) for m in doc["modes"]]

@@ -10,12 +10,11 @@ coefficient-level certificate Delta h = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fields import FieldError, SparsePolynomial, _as_points
+from .fields import FieldError, SparsePolynomial
 
 
 def monomial_exponents(n, d):
@@ -66,26 +65,9 @@ def harmonic_project(q: SparsePolynomial) -> SparsePolynomial:
     return h
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Basis of the k-homogeneous harmonic polynomials in R^n."""
-
-    dimension: int
-    degree: int
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-
-def make_basis(n, k) -> HarmonicBasis:
-    """Projections of the monomials x^e with e_n <= 1, in `monomial_exponents` order.
+def make_basis(n, k) -> tuple:
+    """Basis of the k-homogeneous harmonic polynomials in R^n, as a tuple: the
+    projections of the monomials x^e with e_n <= 1, in `monomial_exponents` order.
 
     Modulo |x|^2, x_n^2 = -(x_1^2 + ... + x_{n-1}^2), so a monomial with
     e_n >= 2 adds nothing; the rest number exactly dim H_k.
@@ -101,7 +83,7 @@ def make_basis(n, k) -> HarmonicBasis:
         raise AssertionError(
             f"harmonic basis for n={n}, k={k} has size {len(elements)}, expected {expected}"
         )
-    return HarmonicBasis(n, k, elements)
+    return elements
 
 
 def random_solid_harmonic(n, k, seed) -> SparsePolynomial:
@@ -126,29 +108,6 @@ def random_solid_harmonic(n, k, seed) -> SparsePolynomial:
     if not out.laplacian_poly().is_zero():
         raise AssertionError("random harmonic lost exactness")
     return out
-
-
-def sphere_decompose(P: SparsePolynomial, u):
-    """Restriction p(u) and spherical gradient norm |grad_S p|(u) at a unit vector.
-
-    Uses |grad P|^2 = |grad_S p|^2 + k^2 p^2 on the sphere; negative
-    round-off below 1e-12 is clamped to zero.
-    """
-    k = P.homogeneous_degree()
-    if k is None:
-        raise FieldError("sphere_decompose requires a homogeneous polynomial")
-    pts, single = _as_points(u, P.dimension)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise FieldError("sphere_decompose requires unit vectors")
-    p, g2 = spherical_values(P, pts)
-    g2 = np.where(g2 < 0, np.where(g2 > -1e-12, 0.0, g2), g2)
-    if np.any(g2 < 0):
-        raise FieldError("spherical gradient norm lost more than round-off precision")
-    gs = np.sqrt(g2)
-    if single:
-        return float(p[0]), float(gs[0])
-    return p, gs
 
 
 def spherical_values(P: SparsePolynomial, pts):

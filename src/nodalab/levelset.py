@@ -56,21 +56,22 @@ class Domain:
     def box(cls, lo, hi):
         lo = tuple(float(v) for v in np.atleast_1d(lo))
         hi = tuple(float(v) for v in np.atleast_1d(hi))
-        if len(lo) != len(hi) or any(b <= a for a, b in zip(lo, hi)):
-            raise LevelSetError("box needs lo < hi componentwise")
+        if len(lo) != len(hi) or not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
+            raise LevelSetError("box needs finite lo < hi componentwise")
         return cls(kind="box", dimension=len(lo), lo=lo, hi=hi)
 
     @classmethod
     def ball(cls, center, radius):
         center = tuple(float(v) for v in np.atleast_1d(center))
-        if radius <= 0:
-            raise LevelSetError("ball radius must be positive")
+        if not (0 < radius < math.inf and all(map(math.isfinite, center))):
+            raise LevelSetError("ball needs a finite center and a finite positive radius")
         return cls(kind="ball", dimension=len(center), center=center, radius=float(radius))
 
     @classmethod
     def torus(cls, dimension):
-        if dimension < 1:
-            raise LevelSetError("dimension must be positive")
+        if not (dimension >= 1 and dimension % 1 == 0):
+            raise LevelSetError(f"torus dimension must be a positive whole number, got {dimension!r}")
+        dimension = int(dimension)
         return cls(
             kind="torus",
             dimension=dimension,
@@ -108,12 +109,6 @@ class Domain:
         lo, hi = self.bbox()
         return lo + rng.random((n, d)) * (hi - lo)
 
-    def contains(self, X):
-        X = np.atleast_2d(X)
-        if self.kind == "torus":
-            return np.ones(len(X), dtype=bool)
-        return self.signed_distance(X) < 0
-
     def signed_distance(self, X):
         """Negative inside, positive outside; -inf everywhere for the torus."""
         X = np.atleast_2d(X)
@@ -138,7 +133,9 @@ class Domain:
             return cls.ball(doc["center"], doc["radius"])
         if kind == "torus":
             return cls.torus(doc["dimension"])
-        return cls.box(doc["lo"], doc["hi"])
+        if kind == "box":
+            return cls.box(doc["lo"], doc["hi"])
+        raise LevelSetError(f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +261,6 @@ class LevelSetMesh:
     @property
     def n_facets(self):
         return len(self.areas)
-
-    @property
-    def total_area(self):
-        return float(self.areas.sum())
 
     def is_empty(self):
         return self.n_facets == 0
@@ -590,32 +583,3 @@ def radial_profile(field, t, r_grid, center=None, h=0.02, h_min=None, weight_fns
     mesh = extract(field, t, Domain.ball(center, float(r_grid[-1])), h, h_min=h_min)
     profiles, bounds, flagged = streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns)
     return profiles, bounds, {"n_facets": mesh.n_facets, "n_flagged": flagged}
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def mesh_to_csv(mesh, path):
-    """Facet table: vertex coordinates, area, |grad f| sample."""
-    n, nv = mesh.dimension, mesh.vertices.shape[1]
-    cols = [f"v{i}_{ax}" for i in range(nv) for ax in "xyz"[:n]] + ["area", "gradnorm"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(mesh.n_facets):
-            row = list(mesh.vertices[i].ravel()) + [mesh.areas[i], mesh.gradnorms[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def mesh_to_off(mesh, path):
-    """OFF-like text export (vertices then facet index lists)."""
-    nv = mesh.vertices.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_facets * nv} {mesh.n_facets} 0\n")
-        for i in range(mesh.n_facets):
-            for v in mesh.vertices[i]:
-                fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        for i in range(mesh.n_facets):
-            idx = " ".join(str(i * nv + j) for j in range(nv))
-            fh.write(f"{nv} {idx}\n")

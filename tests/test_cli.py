@@ -79,6 +79,40 @@ class TestExitCodes:
         assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "torus", "dimension": 2}',
+        '[1, 2]',
+        '{"field": {"kind": "torus", "dimension": 2, "modes": [{"m": [1, 0], "cos": "0", "sin": "1"}]},'
+        ' "domain": {"kind": "torus", "dimension": 2.5}}',
+        '{"kind": "polynomial", "dimension": 2, "terms": [{"exponents": [1, 0], "coefficient": "1/0"}]}',
+        '{"field": {"kind": "polynomial", "dimension": 2, "terms": [{"exponents": [1, 0], "coefficient": "1"}]},'
+        ' "domain": {"kind": "sphere", "center": [0, 0], "radius": 1}}',
+        '{"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "dirichlet-typo"}',
+    ], ids=["torus-without-modes", "list", "fractional-torus-dimension", "zero-denominator",
+            "unknown-domain-kind", "unknown-box-flavor"])
+    def test_malformed_field_document_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        assert run_cli(["curvature", "--field", str(path), "--out", str(tmp_path / "out"), "--no-plot"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "torus", "dimension": 2, "modes": [{"m": [1, 0], "cos": "nan", "sin": "1"}]}',
+        '{"kind": "polynomial", "dimension": 2, "terms": [{"exponents": [1, 0], "coefficient": "1e400"}]}',
+        '{"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "dirichlet", "amplitude": "inf"}',
+        '{"field": {"kind": "polynomial", "dimension": 2, "terms": [{"exponents": [1, 0], "coefficient": "1"}]},'
+        ' "domain": {"kind": "ball", "center": [0, 0], "radius": NaN}}',
+        '{"kind": "weighted", "base": {"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "neumann"},'
+        ' "weight": {"kind": "constant", "dimension": 2, "value": "nan"}}',
+    ], ids=["torus-cos-nan", "coefficient-1e400", "box-amplitude-inf", "ball-radius-nan",
+            "constant-weight-nan"])
+    def test_non_finite_field_document_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        argv = ["density", "--field", str(path), "--N", "1e4", "--out", str(tmp_path / "out"), "--no-plot"]
+        assert run_cli(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([
             "unimodal", "--preset", "torus-sin", "--measure", "mu",

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from nodalab.fields import (
     BOX_DIRICHLET,
     BOX_NEUMANN,
+    TORUS,
     ConstantWeight,
     FieldError,
-    FieldSample,
     GaussianWeight,
     GradientNormField,
     SparsePolynomial,
@@ -85,7 +85,7 @@ class TestSparsePolynomial:
         assert np.allclose(p.value(pts), expected, rtol=1e-14)
 
     def test_single_point_returns_scalar(self):
-        p = SparsePolynomial.coordinate(3, 2)
+        p = SparsePolynomial.monomial(3, (0, 0, 1))
         assert p.value(np.array([0.0, 0.0, 0.7])) == pytest.approx(0.7)
 
     def test_gradient_hessian_laplacian_consistency(self):
@@ -179,6 +179,13 @@ class TestSparsePolynomial:
         with pytest.raises(FieldError):
             SparsePolynomial(2, {(-1, 0): Fraction(1)})
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(FieldError, match="finite"):
+            SparsePolynomial(2, {(1, 0): c})
+        with pytest.raises(FieldError, match="finite"):
+            SparsePolynomial.monomial(2, (1, 0)).scale(c)
+
 
 class TestTrigEigenfunctions:
     def test_torus_value_and_eigenvalue(self):
@@ -210,6 +217,16 @@ class TestTrigEigenfunctions:
         ys = RNG.uniform(0, 1, 20)
         edge = np.stack([np.zeros(20), ys], axis=1)
         assert np.allclose(f.gradient(edge)[:, 0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("flavor, modes", [
+        (TORUS, [((1, 0), math.nan, 1.0)]),
+        (TORUS, [((1, 0), 0.0, 1.0), ((0, 1), 0.0, math.inf)]),
+        (BOX_DIRICHLET, [((1, 1), math.inf)]),
+        (BOX_NEUMANN, [((1, 0), -math.inf)]),
+    ], ids=["torus-cos-nan", "torus-sin-inf", "dirichlet-inf", "neumann-minus-inf"])
+    def test_non_finite_amplitude_rejected(self, flavor, modes):
+        with pytest.raises(FieldError, match="non-finite"):
+            TrigEigenfunction(flavor, modes, 2)
 
     def test_box_eigenvalue(self):
         f = make_box_eigenfunction((1, 1), "dirichlet")
@@ -305,16 +322,9 @@ class TestWeightsAndComposites:
         pts = RNG.uniform(-1, 1, size=(7, 3))
         assert np.allclose(w.value(pts), 2.5)
         assert np.allclose(w.gradient(pts), 0.0)
-
-    def test_field_sample_validates_trace(self):
-        with pytest.raises(FieldError):
-            FieldSample(
-                point=np.zeros(2),
-                value=0.0,
-                gradient=np.zeros(2),
-                hessian=np.eye(2),
-                laplacian=5.0,
-            )
+        for c in (math.nan, math.inf):
+            with pytest.raises(FieldError, match="finite"):
+                ConstantWeight(3, c)
 
 
 class TestJets:
@@ -394,3 +404,7 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(FieldError):
             field_from_json({"kind": "mystery"})
+
+    def test_unknown_box_flavor_rejected(self):
+        with pytest.raises(FieldError, match="flavor"):
+            field_from_json({"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "dirichlet-typo"})

@@ -18,7 +18,7 @@ from nodalab.harmonics import (
     make_basis,
     monomial_exponents,
     random_solid_harmonic,
-    sphere_decompose,
+    spherical_values,
 )
 
 RNG = np.random.default_rng(99)
@@ -133,29 +133,18 @@ class TestRandomHarmonics:
         assert [_encode(random_solid_harmonic(n, k, seed))] == GOLDEN[key]
 
 
-class TestSphereDecomposition:
+class TestSphericalValues:
     def test_x3_restriction(self):
         P = SparsePolynomial(3, {(0, 0, 1): Fraction(1)})
         u = _unit_vectors(3, 100)
-        p, gs = sphere_decompose(P, u)
+        p, g2 = spherical_values(P, u)
         assert np.allclose(p, u[:, 2], rtol=1e-12)
         # |grad_S z|^2 = 1 - z^2 on the unit sphere
-        assert np.allclose(gs**2, 1 - u[:, 2] ** 2, atol=1e-10)
-
-    def test_single_vector(self):
-        P = SparsePolynomial(3, {(0, 0, 1): Fraction(1)})
-        p, gs = sphere_decompose(P, np.array([0.0, 0.0, 1.0]))
-        assert p == pytest.approx(1.0)
-        assert gs == pytest.approx(0.0, abs=1e-8)
+        assert np.allclose(g2, 1 - u[:, 2] ** 2, atol=1e-10)
 
     def test_norm_splitting_identity(self):
         P = random_solid_harmonic(3, 3, seed=4)
         u = _unit_vectors(3, 200)
-        p, gs = sphere_decompose(P, u)
+        p, g2 = spherical_values(P, u)
         total = (P.gradient(u) ** 2).sum(axis=1)
-        assert np.allclose(gs**2 + 9 * p**2, total, rtol=1e-9, atol=1e-12)
-
-    def test_rejects_non_unit_vectors(self):
-        P = SparsePolynomial(3, {(0, 0, 1): Fraction(1)})
-        with pytest.raises(FieldError):
-            sphere_decompose(P, np.array([0.0, 0.0, 2.0]))
+        assert np.allclose(g2 + 9 * p**2, total, rtol=1e-9, atol=1e-12)

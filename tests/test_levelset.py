@@ -21,8 +21,6 @@ from nodalab.levelset import (
     extract,
     mc_mean,
     mesh_quadrature,
-    mesh_to_csv,
-    mesh_to_off,
     radial_profile,
     streamed_radial_sums,
     thin_shell,
@@ -51,7 +49,7 @@ class TestDomain:
         for dom in (Domain.ball([0.5, -1], 2.0), Domain.box([0, 0, 0], [1, 2, 3])):
             pts = dom.sample(5000, rng)
             assert pts.shape == (5000, dom.dimension)
-            assert dom.contains(pts).all()
+            assert (dom.signed_distance(pts) < 0).all()
 
     def test_ball_sampling_is_uniform(self):
         # fraction inside half the radius should be (1/2)^n
@@ -65,6 +63,22 @@ class TestDomain:
         dom = Domain.ball([0.0, 0.0], 1.0)
         assert dom.signed_distance(np.array([[0.0, 0.0]]))[0] == pytest.approx(-1.0)
         assert dom.signed_distance(np.array([[2.0, 0.0]]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Domain.box([0, 0], [1, math.inf]),
+        lambda: Domain.box([math.nan, 0], [1, 1]),
+        lambda: Domain.ball([0, 0], math.nan),
+        lambda: Domain.ball([0, 0], math.inf),
+        lambda: Domain.ball([math.inf, 0], 1.0),
+        lambda: Domain.torus(2.5),
+        lambda: Domain.torus(math.nan),
+        lambda: Domain.torus(0),
+        lambda: Domain.from_json({"kind": "sphere", "center": [0, 0], "radius": 1}),
+    ], ids=["box-inf", "box-nan", "ball-nan-radius", "ball-inf-radius", "ball-inf-center",
+            "torus-fraction", "torus-nan", "torus-zero", "unknown-kind"])
+    def test_invalid_domains_rejected(self, make):
+        with pytest.raises(LevelSetError):
+            make()
 
     def test_json_round_trip(self):
         for dom in (Domain.ball([0.5, 1.0], 2.0), Domain.box([0, 0], [1, 2]), Domain.torus(3)):
@@ -128,11 +142,11 @@ class TestMonteCarlo:
 class TestExtraction:
     def test_circle_length(self):
         m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.01)
-        assert m.total_area == pytest.approx(math.pi, rel=1e-3)
+        assert m.areas.sum() == pytest.approx(math.pi, rel=1e-3)
 
     def test_sphere_area(self):
         m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.04)
-        assert m.total_area == pytest.approx(math.pi, rel=5e-3)
+        assert m.areas.sum() == pytest.approx(math.pi, rel=5e-3)
         assert m.centroids.shape == (m.n_facets, 3)
         # centroids lie near the sphere of radius 1/2
         assert np.allclose(np.linalg.norm(m.centroids, axis=1), 0.5, atol=0.03)
@@ -140,16 +154,16 @@ class TestExtraction:
     def test_ball_clipping_chord(self):
         line = SparsePolynomial(2, {(1, 0): Fraction(1)})
         m = extract(line, 0.5, Domain.ball([0.0, 0.0], 1.0), 0.01)
-        assert m.total_area == pytest.approx(math.sqrt(3), rel=2e-3)
+        assert m.areas.sum() == pytest.approx(math.sqrt(3), rel=2e-3)
 
     def test_ball_clipping_disc(self):
         m = extract(X3, 0.0, Domain.ball([0.0, 0.0, 0.0], 1.0), 0.05)
-        assert m.total_area == pytest.approx(math.pi, rel=5e-3)
+        assert m.areas.sum() == pytest.approx(math.pi, rel=5e-3)
 
     def test_torus_periodic_level(self):
         f = make_torus_eigenfunction([((1, 0), 0.0, 1.0)])
         m = extract(f, 0.5, Domain.torus(2), 0.01)
-        assert m.total_area == pytest.approx(2.0, rel=1e-6)
+        assert m.areas.sum() == pytest.approx(2.0, rel=1e-6)
         # weighted by |grad f|: 4 pi sqrt(1 - t^2)
         assert weighted_area(m) == pytest.approx(4 * math.pi * math.sqrt(0.75), rel=1e-4)
 
@@ -252,8 +266,8 @@ class TestSubdivisionAndProfiles:
         r = np.array([0.3, 0.6, 2.0])  # the last ball covers the whole mesh
         ones = [lambda c, g, floor: np.ones(len(c))]
         (vals,), (bound,), _ = streamed_radial_sums(field, m, np.zeros(n), r, 0.02, ones)
-        assert vals[-1] == pytest.approx(m.total_area, rel=1e-12)
-        assert bound[-1] == pytest.approx(MESH_ERR_COEFF * m.resolution * m.total_area, rel=1e-12)
+        assert vals[-1] == pytest.approx(m.areas.sum(), rel=1e-12)
+        assert bound[-1] == pytest.approx(MESH_ERR_COEFF * m.resolution * m.areas.sum(), rel=1e-12)
 
     def test_bounds_are_cumulative_mesh_quadrature_bounds_of_abs_weight(self):
         m = extract(SPHERE, 0.25, Domain.box([-1] * 3, [1] * 3), 0.1)
@@ -323,17 +337,3 @@ class TestSubdivisionAndProfiles:
     def test_profile_rejects_bad_grid(self):
         with pytest.raises(LevelSetError):
             radial_profile(X3, 0.5, np.array([1.0, 0.5]), h=0.05)
-
-
-class TestExport:
-    def test_csv_and_off(self, tmp_path):
-        m = extract(CIRCLE, 0.25, Domain.box([-1, -1], [1, 1]), 0.1)
-        csv_path = tmp_path / "mesh.csv"
-        off_path = tmp_path / "mesh.off"
-        mesh_to_csv(m, csv_path)
-        mesh_to_off(m, off_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == m.n_facets + 1
-        assert lines[0].startswith("v0_x")
-        off = off_path.read_text().splitlines()
-        assert off[0] == "OFF"
