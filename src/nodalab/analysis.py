@@ -29,6 +29,8 @@ from .levelset import (
     _critical_floor,
     _map_chunks,
     _mean_and_se,
+    _sphere_area,
+    _sphere_points,
     default_shell_width,
     extract,
     mesh_quadrature,
@@ -527,12 +529,10 @@ def corollary_unimodality(P, t_grid, h=0.02):
 
 
 def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
-    """Superlevel functional of the spherical restriction p on S^2:
+    """Superlevel functional of the spherical restriction p on S^(n-1):
     eps^((n+k-2)/k) * int_{p >= eps} (|grad_S p|^2 + k^2 p^2) / p^((n+2k-2)/k),
     estimated with one shared Monte Carlo sample across the eps-grid."""
     n, k = _homogeneous_data(P)
-    if n != 3:
-        raise FieldError("sphere quadrature is implemented for n = 3")
     if k < 1:
         raise FieldError("degree must be at least 1")
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -540,14 +540,12 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
         raise ValueError("eps-grid must be positive")
     e_exp = (n + k - 2) / k
     gamma = (n + 2 * k - 2) / k
-    area = 4.0 * math.pi
+    area = _sphere_area(n)
 
     n_samples = int(n_samples)
 
     def run(rng, size):
-        dirs = rng.standard_normal((size, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        p, g2 = spherical_values(P, dirs)
+        p, g2 = spherical_values(P, _sphere_points(rng, size, n))
         g2 = np.maximum(g2, 0.0)
         positive = p > 0
         dens = np.zeros(size)

@@ -1,5 +1,6 @@
-"""Command-line front end: build fields from presets or JSON specs, run the
-analysis checks, write JSON/CSV reports and SVG line charts.
+"""Command-line front end: build fields from JSON field documents (a preset
+or a --field file), run the analysis checks, write JSON/CSV reports and SVG
+line charts.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 config error.
 Two runs with the same config produce byte-identical JSON/CSV/SVG.
@@ -14,93 +15,42 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import analysis
-from .fields import (
-    FieldError,
-    GaussianWeight,
-    SparsePolynomial,
-    WeightedField,
-    field_from_json,
-    field_to_json,
-    make_box_eigenfunction,
-    make_torus_eigenfunction,
-)
+from .fields import FieldError, SparsePolynomial, field_from_json, field_to_json
 from .levelset import Domain, LevelSetError
 
 # ---------------------------------------------------------------------------
-# Presets
+# Presets: named field documents, read by the same loader as --field
 
-
-def _poly_x3():
-    return SparsePolynomial(3, {(0, 0, 1): Fraction(1)})
-
-
-def _poly_x2_minus_y2():
-    return SparsePolynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
-
-
-def _preset_table():
-    return {
-        "torus-sin": lambda: {
-            "field": make_torus_eigenfunction([((1, 0), 0.0, 1.0)]),
-            "domain": Domain.torus(2),
-            "t1": 0.0,
-            "t2": 0.5,
-            "t": 0.5,
-        },
-        "p=x3": lambda: {
-            "field": _poly_x3(),
-            "domain": Domain.ball([0.0, 0.0, 0.0], 1.0),
-            "t1": 0.2,
-            "t2": 0.4,
-            "t": 0.5,
-        },
-        "x2-y2": lambda: {
-            "field": _poly_x2_minus_y2(),
-            "domain": Domain.ball([0.0, 0.0], 1.0),
-            "t1": 0.1,
-            "t2": 0.5,
-            "t": 0.3,
-        },
-        "box-dirichlet": lambda: {
-            "field": make_box_eigenfunction((1, 1), "dirichlet"),
-            "domain": Domain.box([0.0, 0.0], [1.0, 1.0]),
-            "t1": 0.2,
-            "t2": 0.6,
-            "t": 0.5,
-        },
-        "box-neumann": lambda: {
-            "field": make_box_eigenfunction((1, 0), "neumann"),
-            "domain": Domain.box([0.0, 0.0], [1.0, 1.0]),
-            "t1": 0.2,
-            "t2": 0.6,
-            "t": 0.5,
-        },
-        "hermite-gaussian": lambda: {
-            "field": WeightedField(
-                SparsePolynomial(2, {(2, 0): Fraction(1), (0, 0): Fraction(-1)}),
-                GaussianWeight(2),
-            ),
-            "domain": Domain.box([-4.0, -4.0], [4.0, 4.0]),
-            "t1": 0.5,
-            "t2": 1.5,
-            "t": 1.0,
-        },
-        "harmonic-mix": lambda: {
-            "field": _poly_x2_minus_y2() + SparsePolynomial(2, {(1, 0): Fraction(1, 2)}),
-            "domain": Domain.ball([0.0, 0.0], 1.5),
-            "t1": 0.1,
-            "t2": 0.5,
-            "t": 0.0,
-        },
-    }
-
-
-PRESET_NAMES = tuple(_preset_table().keys())
+# name -> ({"field": ..., "domain": ...}, default (t1, t2, t)); a document
+# without "domain" is checked on analysis.default_domain of its field
+PRESETS = {
+    "torus-sin": ({"field": {"kind": "torus", "dimension": 2,
+                             "modes": [{"m": [1, 0], "cos": "0", "sin": "1"}]}}, (0.0, 0.5, 0.5)),
+    "p=x3": ({"field": {"kind": "polynomial", "dimension": 3,
+                        "terms": [{"exponents": [0, 0, 1], "coefficient": "1"}]}}, (0.2, 0.4, 0.5)),
+    "x2-y2": ({"field": {"kind": "polynomial", "dimension": 2,
+                         "terms": [{"exponents": [2, 0], "coefficient": "1"},
+                                   {"exponents": [0, 2], "coefficient": "-1"}]}}, (0.1, 0.5, 0.3)),
+    "box-dirichlet": ({"field": {"kind": "box", "dimension": 2, "flavor": "dirichlet", "k": [1, 1]}},
+                      (0.2, 0.6, 0.5)),
+    "box-neumann": ({"field": {"kind": "box", "dimension": 2, "flavor": "neumann", "k": [1, 0]}},
+                    (0.2, 0.6, 0.5)),
+    "hermite-gaussian": ({"field": {"kind": "weighted",
+                                    "base": {"kind": "polynomial", "dimension": 2,
+                                             "terms": [{"exponents": [2, 0], "coefficient": "1"},
+                                                       {"exponents": [0, 0], "coefficient": "-1"}]},
+                                    "weight": {"kind": "gaussian", "dimension": 2}},
+                          "domain": {"kind": "box", "lo": [-4.0, -4.0], "hi": [4.0, 4.0]}}, (0.5, 1.5, 1.0)),
+    "harmonic-mix": ({"field": {"kind": "polynomial", "dimension": 2,
+                                "terms": [{"exponents": [2, 0], "coefficient": "1"},
+                                          {"exponents": [0, 2], "coefficient": "-1"},
+                                          {"exponents": [1, 0], "coefficient": "1/2"}]},
+                      "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.5}}, (0.1, 0.5, 0.0)),
+}
 
 
 class ConfigError(Exception):
@@ -108,24 +58,25 @@ class ConfigError(Exception):
 
 
 def _load_target(args):
+    """The field, domain and default levels of --preset NAME or --field PATH."""
     if args.preset and args.field:
         raise ConfigError("give either --preset or --field, not both")
     if args.preset:
-        table = _preset_table()
-        if args.preset not in table:
-            raise ConfigError(f"unknown preset {args.preset!r}; choose from {', '.join(PRESET_NAMES)}")
-        return table[args.preset]()
-    if args.field:
+        if args.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {args.preset!r}; choose from {', '.join(PRESETS)}")
+        source, (doc, levels) = f"preset {args.preset}", PRESETS[args.preset]
+    elif args.field:
         with open(args.field, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        try:
-            field = field_from_json(doc.get("field", doc))
-            domain = Domain.from_json(doc["domain"]) if "domain" in doc else None
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad field document {args.field}: {type(exc).__name__}: {exc}") from exc
-        return {"field": field, "domain": domain or analysis.default_domain(field),
-                "t1": 0.0, "t2": 0.5, "t": 0.5}
-    raise ConfigError("one of --preset or --field is required")
+            source, doc, levels = args.field, json.load(fh), (0.0, 0.5, 0.5)
+    else:
+        raise ConfigError("one of --preset or --field is required")
+    try:
+        field = field_from_json(doc.get("field", doc))
+        domain = Domain.from_json(doc["domain"]) if "domain" in doc else None
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad field document {source}: {type(exc).__name__}: {exc}") from exc
+    return {"field": field, "domain": domain or analysis.default_domain(field),
+            **dict(zip(("t1", "t2", "t"), levels))}
 
 
 def _parse_grid(spec):
@@ -135,7 +86,7 @@ def _parse_grid(spec):
         raise ConfigError(f"bad grid spec {spec!r}, expected lo:hi:step") from exc
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi <= lo:
         raise ConfigError(f"bad grid spec {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
+    count = math.floor((hi - lo) / step + 1e-9) + 1  # the last point does not pass hi
     return np.linspace(lo, lo + step * (count - 1), count)
 
 
@@ -160,12 +111,10 @@ def _parse_real(text):
 # Output writers
 
 
-def _config_dict(args, command):
-    keys = (
-        "preset", "field", "measure", "N", "bins", "h", "delta", "t", "t1", "t2",
-        "rgrid", "egrid", "seed", "plot",
-    )
-    return {"command": command, **{k: getattr(args, k) for k in keys}}
+def _config_dict(args):
+    """Every parsed argument but --out and --workers, which change no result;
+    "command" is the report name."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "workers")}
 
 
 def _config_hash(cfg):
@@ -323,7 +272,7 @@ def _density(args, target):
 
 
 def _unimodal(args, target):
-    density = _execute("density", args, name="unimodal_density", target=target)[2]
+    density = _execute("density", args, name=f"{args.command}_density", target=target)[2]
     return analysis.unimodality_check(density)
 
 
@@ -455,14 +404,15 @@ COMMANDS = {
 
 def _execute(command, args, name=None, target=None):
     """Run `command`'s check and write its reports as <name>.json/.csv/.svg
-    in args.out; returns (passed, JSON path, report)."""
+    in args.out; the check sees the report name as args.command.  Returns
+    (passed, JSON path, report)."""
     spec = COMMANDS[command]
-    name = name or command
+    args = argparse.Namespace(**{**vars(args), "command": name or command})
     if target is None:
         target = _load_target(args)
     rep = spec.check(args, target)
-    cfg = _config_dict(args, name)
-    stem = os.path.join(args.out, name)
+    cfg = _config_dict(args)
+    stem = os.path.join(args.out, args.command)
     _write_json(stem + ".json", spec.payload(rep, args, target), cfg)
     if spec.csv:
         columns = spec.csv(rep)
@@ -473,18 +423,19 @@ def _execute(command, args, name=None, target=None):
     return spec.verdict(rep), stem + ".json", rep
 
 
-# (label, command, overrides of the suite's own arguments, rename of the JSON report, expected verdict)
+# (label, command, overrides of the suite's own arguments, report name (None: the
+# command's), expected verdict)
 _SUITE = (
     ("unimodal-mu", "unimodal",
      {"preset": "torus-sin", "measure": "mu", "N": 200_000, "bins": 32}, None, True),
     ("unimodal-sigma-fails", "unimodal",
-     {"preset": "torus-sin", "measure": "sigma", "N": 200_000, "bins": 32}, "unimodal_sigma.json", False),
-    *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 1024}, f"curvature_{preset}.json", True)
+     {"preset": "torus-sin", "measure": "sigma", "N": 200_000, "bins": 32}, "unimodal_sigma", False),
+    *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 1024}, f"curvature_{preset}", True)
       for preset in ("torus-sin", "p=x3", "x2-y2", "box-dirichlet", "box-neumann", "hermite-gaussian")),
     ("divergence-torus", "divergence",
      {"preset": "torus-sin", "N": 200_000, "h": 0.005, "t1": None, "t2": None}, None, True),
     ("divergence-box-neumann", "divergence",
-     {"preset": "box-neumann", "N": 100_000, "h": 0.005, "t1": None, "t2": None}, "divergence_box.json", True),
+     {"preset": "box-neumann", "N": 100_000, "h": 0.005, "t1": None, "t2": None}, "divergence_box", True),
     ("deriv-torus", "deriv", {"preset": "torus-sin", "t": 0.5, "delta": 0.01, "h": 0.005}, None, True),
     ("monotone-x3", "monotone", {"preset": "p=x3", "t": 0.5, "rgrid": "0.6:1.6:0.1", "h": 0.05}, None, True),
     ("prop51-x3", "prop51",
@@ -500,12 +451,9 @@ def _run_suite(args):
     """Reduced-scale battery over the shipped presets; passes iff every step
     gives its expected verdict."""
     failures = []
-    for label, command, overrides, rename, expected in _SUITE:
+    for label, command, overrides, name, expected in _SUITE:
         ns = argparse.Namespace(**{**vars(args), "field": None, **overrides})
-        passed, path, _ = _execute(command, ns)
-        if rename:
-            os.replace(path, os.path.join(args.out, rename))
-            path = os.path.join(args.out, rename)
+        passed, path, _ = _execute(command, ns, name=name)
         ok = passed == expected
         print(f"[suite] {'PASS' if ok else 'FAIL'} {label} -> {path}")
         if not ok:
@@ -529,7 +477,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
-        p.add_argument("--preset", default=None, help=f"one of: {', '.join(PRESET_NAMES)}")
+        p.add_argument("--preset", default=None, help=f"one of: {', '.join(PRESETS)}")
         p.add_argument("--field", default=None, help="path to a field JSON document")
         p.add_argument("--measure", default="mu", choices=["sigma", "mu", "weighted"])
         p.add_argument("--N", type=_parse_count, default=spec.n)

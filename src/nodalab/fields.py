@@ -45,6 +45,13 @@ def _as_points(x, dim):
     return pts, single
 
 
+def _whole_dimension(dimension):
+    """A dimension as an int; anything but a whole number >= 1 (2.5, nan) is a FieldError."""
+    if not (dimension >= 1 and dimension % 1 == 0):
+        raise FieldError(f"dimension must be a whole number >= 1, got {dimension!r}")
+    return int(dimension)
+
+
 class ScalarField:
     """A differentiable scalar field on R^n (or the unit torus cell).
 
@@ -136,9 +143,7 @@ class SparsePolynomial(ScalarField):
     """
 
     def __init__(self, dimension, terms):
-        if dimension < 1:
-            raise FieldError("dimension must be positive")
-        self.dimension = int(dimension)
+        self.dimension = _whole_dimension(dimension)
         clean = {}
         for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
@@ -356,7 +361,7 @@ class TrigEigenfunction(ScalarField):
         if not modes:
             raise FieldError("empty mode list")
         self.flavor = flavor
-        self.dimension = int(dimension)
+        self.dimension = _whole_dimension(dimension)
         clean = []
         for k, *amps in modes:
             k = tuple(int(v) for v in k)
@@ -443,7 +448,7 @@ class GaussianWeight(ScalarField):
     """rho(x) = exp(-|x|^2 / 2), the standard Gaussian weight (un-normalized)."""
 
     def __init__(self, dimension):
-        self.dimension = int(dimension)
+        self.dimension = _whole_dimension(dimension)
 
     def _jet(self, pts, order):
         rho = np.exp(-0.5 * (pts**2).sum(axis=1))
@@ -486,7 +491,7 @@ class ConstantWeight(ScalarField):
     """A constant positive weight."""
 
     def __init__(self, dimension, c=1.0):
-        self.dimension = int(dimension)
+        self.dimension = _whole_dimension(dimension)
         self.c = float(c)
         if not math.isfinite(self.c):
             raise FieldError(f"constant weight must be finite, got {self.c!r}")

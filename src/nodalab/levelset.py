@@ -41,6 +41,18 @@ class LevelSetError(ValueError):
 # Domains
 
 
+def _sphere_points(rng, n, d):
+    """n uniform points on the unit sphere S^(d-1): normalised Gaussians."""
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
+
+
+def _sphere_area(d):
+    """|S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
+    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Box, ball, or unit torus cell in R^n."""
@@ -102,8 +114,7 @@ class Domain:
         """n uniform points as an (n, dim) array."""
         d = self.dimension
         if self.kind == "ball":
-            dirs = rng.standard_normal((n, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs = _sphere_points(rng, n, d)
             radii = self.radius * rng.random(n) ** (1.0 / d)
             return np.array(self.center) + dirs * radii[:, None]
         lo, hi = self.bbox()

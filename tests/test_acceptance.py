@@ -14,7 +14,7 @@ import pytest
 
 from nodalab import cli
 from nodalab import analysis as an
-from nodalab.fields import SparsePolynomial, make_box_eigenfunction, make_torus_eigenfunction
+from nodalab.fields import SparsePolynomial, field_from_json, make_box_eigenfunction, make_torus_eigenfunction
 from nodalab.harmonics import random_solid_harmonic
 from nodalab.levelset import (
     Domain,
@@ -95,8 +95,8 @@ def test_03_curvature_identity_all_presets():
     start = time.time()
     worst = 0.0
     ok = True
-    for name, make in cli._preset_table().items():
-        field = make()["field"]
+    for doc, _ in cli.PRESETS.values():
+        field = field_from_json(doc["field"])
         rep = an.curvature_identity_check(field, n_points=1024, seed=0)
         worst = max(worst, rep.discrepancy)
         ok = ok and rep.passed and rep.discrepancy <= 1e-9

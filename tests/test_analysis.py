@@ -346,6 +346,17 @@ class TestHomogeneousChecks:
         z = np.abs(np.asarray(rep.values) - truth) / np.asarray(rep.errors)
         assert z.max() < 4.0
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_spherical_functional_of_x_n(self, n):
+        # P = x_n: the functional is omega_(n-1) (1 - eps^2)^((n-1)/2), omega_m = |unit m-ball|
+        eps = np.linspace(0.1, 0.9, 9)
+        P = SparsePolynomial(n, {(0,) * (n - 1) + (1,): Fraction(1)})
+        rep = an.spherical_monotonicity(P, eps, n_samples=10**6, seed=0)
+        assert rep.passed
+        truth = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2) * (1 - eps**2) ** ((n - 1) / 2)
+        z = np.abs(np.asarray(rep.values) - truth) / np.asarray(rep.errors)
+        assert z.max() < 4.0
+
     def test_robin_x3(self):
         rep = an.robin_identity_check(X3, 0.2, 0.4, h=0.02, quad_nodes=400_000)
         assert rep.passed

@@ -4,6 +4,7 @@ and byte-level determinism."""
 import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,22 @@ class TestParsing:
         for spec in ("0.6:inf:0.1", "nan:1:0.1", "0:1:inf", "-inf:1:0.5"):
             with pytest.raises(cli.ConfigError, match="bad grid spec"):
                 cli._parse_grid(spec)
+
+    @pytest.mark.parametrize("spec, points", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0.1:0.9:0.3", [0.1, 0.4, 0.7]),
+        ("0:1:0.5", [0.0, 0.5, 1.0]),
+        # the commands' default grids keep every point
+        ("0.2:1.2:0.1", np.linspace(0.2, 1.2, 11)),
+        ("0.7:1.5:0.01", np.linspace(0.7, 1.5, 81)),
+        ("0.6:1.6:0.05", np.linspace(0.6, 1.6, 21)),
+        ("-0.9:0.9:0.15", np.linspace(-0.9, 0.9, 13)),
+        ("0.1:0.9:0.1", np.linspace(0.1, 0.9, 9)),
+    ])
+    def test_grid_stops_at_hi(self, spec, points):
+        g = cli._parse_grid(spec)
+        assert len(g) == len(points) and np.allclose(g, points)
+        assert g[-1] <= float(spec.split(":")[1])
 
     def test_count_parsing(self):
         assert cli._parse_count("1e5") == 100_000
@@ -112,6 +129,22 @@ class TestExitCodes:
         argv = ["density", "--field", str(path), "--N", "1e4", "--out", str(tmp_path / "out"), "--no-plot"]
         assert run_cli(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        {"kind": "polynomial", "dimension": 2.5, "terms": [{"exponents": [1, 0], "coefficient": "1"}]},
+        {"kind": "weighted",
+         "base": {"kind": "polynomial", "dimension": 3, "terms": [{"exponents": [1, 0, 0], "coefficient": "1"}]},
+         "weight": {"kind": "gaussian", "dimension": 3.7}},
+        {"kind": "weighted",
+         "base": {"kind": "polynomial", "dimension": 1, "terms": [{"exponents": [1], "coefficient": "1"}]},
+         "weight": {"kind": "constant", "dimension": 1.5, "value": "1"}},
+    ], ids=["polynomial-2.5", "gaussian-3.7", "constant-1.5"])
+    def test_fractional_dimension_is_config_error(self, tmp_path, capsys, field):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(field))
+        argv = ["density", "--field", str(path), "--N", "1e4", "--out", str(tmp_path / "out"), "--no-plot"]
+        assert run_cli(argv) == 2
+        assert "whole number" in capsys.readouterr().err
 
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([
@@ -260,6 +293,48 @@ class TestOutputs:
         rows = (tmp_path / "monotone.csv").read_text().splitlines()
         first_val = rows[2].split(",")[1]
         assert len(first_val.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 15
+
+
+    @pytest.mark.parametrize("name", list(cli.PRESETS))
+    def test_preset_equals_its_document_as_field(self, tmp_path, name):
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(cli.PRESETS[name][0]))
+        reports = []
+        for source, out in ((["--preset", name], "a"), (["--field", str(path)], "b")):
+            assert run_cli(["curvature", *source, "--out", str(tmp_path / out), "--no-plot"]) == 0
+            reports.append(json.loads((tmp_path / out / "curvature.json").read_text())["identity"])
+        assert reports[0] == reports[1]
+
+    def test_config_records_every_option_but_out_and_workers(self, tmp_path):
+        hashes = []
+        for tol in ("0.03", "0.5"):
+            out = tmp_path / tol
+            run_cli(["prop51", "--preset", "p=x3", "--t", "0.5", "--rgrid", "0.7:1.5:0.1", "--h", "0.05",
+                     "--tol", tol, "--out", str(out), "--no-plot"])
+            doc = json.loads((out / "prop51.json").read_text())
+            assert doc["config"]["tol"] == float(tol)
+            hashes.append(doc["config_hash"])
+        assert hashes[0] != hashes[1]
+        parsed = vars(cli._build_parser().parse_args(["prop51"]))
+        assert set(doc["config"]) == set(parsed) - {"out", "workers"}
+
+    def test_sphere_in_four_dimensions(self, tmp_path):
+        path = tmp_path / "x4.json"
+        path.write_text(json.dumps({"kind": "polynomial", "dimension": 4,
+                                    "terms": [{"exponents": [0, 0, 0, 1], "coefficient": "1"}]}))
+        assert run_cli(["sphere", "--field", str(path), "--N", "1e5", "--out", str(tmp_path), "--no-plot"]) == 0
+        assert json.loads((tmp_path / "sphere.json").read_text())["monotonicity"]["passed"] is True
+
+    def test_suite_keeps_every_report_it_prints(self, tmp_path, capsys):
+        assert run_cli(["suite", "--seed", "42", "--out", str(tmp_path), "--no-plot"]) == 0
+        printed = [line.split(" -> ")[1] for line in capsys.readouterr().out.splitlines() if " -> " in line]
+        assert len(printed) == len(cli._SUITE)
+        for path in printed:
+            assert os.path.isfile(path), path
+        for name, measure in (("unimodal", "mu"), ("unimodal_sigma", "sigma")):
+            assert json.loads((tmp_path / f"{name}.json").read_text())["measure"] == measure
+            density = json.loads((tmp_path / f"{name}_density.json").read_text())
+            assert density["config"]["measure"] == measure
 
 
 class TestSvg:

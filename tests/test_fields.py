@@ -179,6 +179,19 @@ class TestSparsePolynomial:
         with pytest.raises(FieldError):
             SparsePolynomial(2, {(-1, 0): Fraction(1)})
 
+    @pytest.mark.parametrize("make", [
+        lambda: SparsePolynomial(2.5, {(1, 0): 1}),
+        lambda: SparsePolynomial(0, {}),
+        lambda: GaussianWeight(3.7),
+        lambda: GaussianWeight(math.nan),
+        lambda: ConstantWeight(1.5),
+        lambda: ConstantWeight(math.inf),
+    ], ids=["polynomial-2.5", "polynomial-0", "gaussian-3.7", "gaussian-nan", "constant-1.5",
+            "constant-inf"])
+    def test_dimension_must_be_a_whole_number(self, make):
+        with pytest.raises(FieldError, match="whole number"):
+            make()
+
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_coefficient_rejected(self, c):
         with pytest.raises(FieldError, match="finite"):

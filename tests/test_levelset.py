@@ -15,6 +15,8 @@ from nodalab.levelset import (
     LevelSetError,
     _critical_floor,
     _grid_axes,
+    _sphere_area,
+    _sphere_points,
     _split_facets,
     _subfacet_centroids,
     default_shell_width,
@@ -58,6 +60,13 @@ class TestDomain:
         pts = dom.sample(200_000, rng)
         frac = (np.linalg.norm(pts, axis=1) < 0.5).mean()
         assert frac == pytest.approx(0.25, abs=0.01)
+
+    @pytest.mark.parametrize("d, area", [(1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi), (4, 2 * math.pi**2)])
+    def test_unit_sphere_area_and_points(self, d, area):
+        assert _sphere_area(d) == pytest.approx(area, rel=1e-15)
+        pts = _sphere_points(np.random.default_rng(0), 1000, d)
+        assert pts.shape == (1000, d)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
     def test_signed_distance(self):
         dom = Domain.ball([0.0, 0.0], 1.0)
