@@ -11,10 +11,12 @@ Each family evaluates through one kernel, `jet(x, order)`, which returns
 the value, gradient and Hessian up to `order` from shared intermediates.
 A polynomial builds one table of coordinate powers x_d^k by repeated
 multiplication.  A trigonometric eigenfunction, torus or box, is stored as
-plane waves f = Re sum_j w_j exp(i omega m_j.x); its jet takes one cos and
-one sin of omega x_d per axis and raises exp(i omega x_d) to the powers
+plane waves f = Re sum_j w_j exp(i omega m_j.x); its jet takes one phasor
+exp(i omega x_d) per axis, from a table of roots of unity and a short
+Taylor polynomial rather than libm cos and sin, and raises it to the powers
 the waves need by repeated multiplication, so the trig work per point does
-not grow with the number of modes.  `value`, `gradient` and `hessian` are
+not grow with the number of modes.  It runs in blocks of points, so its
+(waves x points) array stays a few MB.  `value`, `gradient` and `hessian` are
 views of the jet; a caller that needs two orders at the same points asks
 for one jet.
 """
@@ -312,10 +314,73 @@ TORUS = "torus"
 BOX_DIRICHLET = "box-dirichlet"
 BOX_NEUMANN = "box-neumann"
 
+# exp(2 pi i u) is reduced by a table of T-th roots of unity (Tang, ACM TOMS
+# 15(2), 1989): with n = rint(u T) and r = u T - n, both exact for a power of
+# two T, exp(2 pi i u) = exp(2 pi i n / T) exp(i phi) with phi = 2 pi r / T and
+# |phi| <= pi / T, where Taylor polynomials of degree 8 (cos) and 7 (sin)
+# leave a truncation error below 1e-20.
+_TURN_STEPS = 1024
+_PHI_PER_STEP = TWO_PI / _TURN_STEPS
+_COS_TAYLOR = (1 / 40320, -1 / 720, 1 / 24, -1 / 2)  # cos(phi) - 1, Horner in phi^2
+_SIN_TAYLOR = (-1 / 5040, 1 / 120, -1 / 6)  # sin(phi) / phi - 1, Horner in phi^2
+# points per block of a plane-wave jet: 0.5 MB of (waves x block) array per
+# wave, not 2 MB as for a whole 2^17-point Monte Carlo chunk.  Blocks of 2^14
+# points ran a jet faster alone but a wave-density round slower, with 5x the
+# page faults: their smaller buffers left glibc's dynamic mmap threshold low,
+# so memory went back to the system and was faulted in again for every chunk.
+_WAVE_BLOCK = 1 << 15
+
+
+def _roots_of_unity(size):
+    """exp(2 pi i k / size) for k < size: cos and sin of the first octant,
+    the other entries by exact swaps and sign changes."""
+    octant = TWO_PI * np.arange(size // 8 + 1) / size
+    cos, sin = np.cos(octant), np.sin(octant)
+    k = np.arange(size // 4)
+    fold = np.minimum(k, size // 4 - k)
+    quarter = np.where(k <= size // 8, cos[fold] + 1j * sin[fold], sin[fold] + 1j * cos[fold])
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
+_ROOTS = _roots_of_unity(_TURN_STEPS)
+
+
+def _phasor(x, steps, out, work):
+    """out = exp(2 pi i u) with u T = x steps, for a power of two `steps`.
+
+    `work` holds four float buffers, an int64 and a complex one of len(x);
+    the Taylor sums run on contiguous floats, not on strided views of `out`.
+    A non-finite x gives NaN without a floating-point warning.
+    """
+    v, phi2, cos, sin, index, root = work
+    np.multiply(x, steps, out=v)  # exact: a power of two
+    np.rint(v, out=phi2)
+    with np.errstate(invalid="ignore"):
+        np.subtract(v, phi2, out=v)  # r, exact; NaN for a non-finite x
+        # from 2^62 on every float is a multiple of T, so clipping there keeps
+        # n mod T and the int64 cast in range; a NaN casts to a meaningless index
+        np.clip(phi2, -2.0**62, 2.0**62, out=phi2)
+        np.copyto(index, phi2, casting="unsafe")
+    np.bitwise_and(index, _TURN_STEPS - 1, out=index)  # n mod T
+    np.take(_ROOTS, index, out=root, mode="clip")  # in range: clip skips the check
+    np.multiply(v, _PHI_PER_STEP, out=v)  # phi
+    np.multiply(v, v, out=phi2)
+    for terms, acc in ((_COS_TAYLOR, cos), (_SIN_TAYLOR, sin)):
+        np.multiply(phi2, terms[0], out=acc)
+        for c in terms[1:]:
+            acc += c
+            acc *= phi2
+    sin *= v
+    sin += v
+    out.real, out.imag = cos, sin
+    # root (1 + (cos phi - 1) + i sin phi), adding the small part last
+    out *= root
+    out += root
+
 
 def _plane_waves(flavor, modes, dimension):
-    """(omega, m, w) with f = Re sum_j w_j exp(i omega m_j.x), one entry per
-    distinct wave vector up to sign.
+    """(turns, m, w) with f = Re sum_j w_j exp(2 pi i turns m_j.x), one entry
+    per distinct wave vector up to sign; waves that cancel are dropped.
 
     A torus mode a cos(2 pi m.x) + b sin(2 pi m.x) is the wave (m, a - ib).  A
     box mode amp prod_d phi(pi k_d x_d) expands by sin t = (e^{it} - e^{-it})/2i
@@ -331,11 +396,11 @@ def _plane_waves(flavor, modes, dimension):
         waves[m] = waves.get(m, 0) + w
 
     if flavor == TORUS:
-        omega = TWO_PI
+        turns = 1.0
         for m, a, b in modes:
             add(m, complex(a, -b))
     else:
-        omega = math.pi
+        turns = 0.5
         # the weight of e^{+it} and e^{-it} in one factor
         half = {1: 1 / 2j, -1: -1 / 2j} if flavor == BOX_DIRICHLET else {1: 0.5, -1: 0.5}
         for k, amp in modes:
@@ -343,7 +408,7 @@ def _plane_waves(flavor, modes, dimension):
                 add(tuple(s * v for s, v in zip(signs, k)), amp * math.prod(half[s] for s in signs))
     live = [(m, w) for m, w in waves.items() if w != 0]
     m = np.array([m for m, _ in live], dtype=np.int64).reshape(len(live), dimension)
-    return omega, m, np.array([w for _, w in live], dtype=complex)
+    return turns, m, np.array([w for _, w in live], dtype=complex)
 
 
 class TrigEigenfunction(ScalarField):
@@ -378,40 +443,55 @@ class TrigEigenfunction(ScalarField):
         norms = {sum(v * v for v in k) for k, *_ in clean}
         if len(norms) > 1:
             raise FieldError(f"modes of different |m|^2: {sorted(norms)}")
-        if flavor == TORUS and all(a == 0.0 and b == 0.0 for _, a, b in clean):
-            raise FieldError("all amplitudes vanish")
         self.modes = tuple(clean)
-        self._omega, self._m, self._w = _plane_waves(flavor, self.modes, self.dimension)
+        turns, self._m, self._w = _plane_waves(flavor, self.modes, self.dimension)
+        if not len(self._w):
+            raise FieldError("the modes cancel: the field is identically zero")
+        self._omega = TWO_PI * turns
+        self._steps = _TURN_STEPS * turns  # u T = x steps in `_phasor`, with u = turns x
         self.eigenvalue = self._omega**2 * norms.pop()
 
     # -- evaluation ---------------------------------------------------------
 
     def _jet(self, pts, order):
-        # waves[j] = exp(i omega m_j.x), one axis factor at a time
-        waves = np.ones((len(self._w), len(pts)), dtype=complex)
-        for d, column in enumerate(self._m.T):
-            top = int(np.abs(column).max(initial=0))
-            if not top:
-                continue
-            theta = self._omega * pts[:, d]
-            step = np.empty(len(pts), dtype=complex)  # exp(i omega x_d): the axis's only cos and sin
-            np.cos(theta, out=step.real)
-            np.sin(theta, out=step.imag)
-            # step^k by repeated multiplication, each power used as soon as it is made
-            power = step
-            for k in range(1, top + 1):
-                if k > 1:
-                    power = power * step
-                for j in np.flatnonzero(np.abs(column) == k):
-                    waves[j] *= power if column[j] > 0 else power.conj()
+        # per axis d and power k >= 1: the waves with m_jd = k and with m_jd = -k
+        axes = [(d, [(np.flatnonzero(column == k), np.flatnonzero(column == -k))
+                     for k in range(1, int(np.abs(column).max(initial=0)) + 1)])
+                for d, column in enumerate(self._m.T) if column.any()]
+        # the first axis on which a wave moves sets its row, later axes multiply it
+        lead = np.where(self._m.any(axis=1), np.argmax(self._m != 0, axis=1), -1)
         freq = 1j * self._omega * self._m
-
-        def partial(alpha):
-            # d^alpha f = Re(sum_j w_j prod_d (i omega m_jd)^alpha_d exp(i omega m_j.x)),
-            # one product per output row, so a row has the same bits at every order
-            return ((self._w * np.prod(freq**alpha, axis=1)) @ waves).real
-
-        return _assemble(partial, self.dimension, order)
+        size = min(len(pts), _WAVE_BLOCK)
+        complex_work = np.empty((4 + len(self._w), size), dtype=complex)
+        float_work, index = np.empty((4, size)), np.empty(size, dtype=np.int64)
+        complex_work[4:][lead < 0] = 1  # a wave with m_j = 0 is constant
+        out = [np.empty((len(pts),) + (self.dimension,) * k) for k in range(order + 1)]
+        for start in range(0, len(pts), _WAVE_BLOCK):
+            x = pts[start:start + _WAVE_BLOCK]
+            step, higher, conj, root = complex_work[:4, :len(x)]
+            # waves[j] = exp(i omega m_j.x), one axis factor at a time
+            waves = complex_work[4:, :len(x)]
+            for d, powers in axes:
+                _phasor(x[:, d], self._steps, step, (*float_work[:, :len(x)], index[:len(x)], root))
+                power = step
+                for k, (plus, minus) in enumerate(powers, 1):
+                    if k > 1:
+                        power = np.multiply(power, step, out=higher)
+                    if len(minus):
+                        np.conjugate(power, out=conj)  # one conj per power
+                    for factor, js in ((power, plus), (conj, minus)):
+                        for j in js:
+                            if lead[j] == d:
+                                waves[j] = factor
+                            else:
+                                waves[j] *= factor
+            # d^alpha f = Re(c . waves) with c_j = w_j prod_d (i omega m_jd)^alpha_d, one
+            # product per output row, so a row has the same bits at every order
+            rows = _assemble(lambda alpha: ((self._w * np.prod(freq**alpha, axis=1)) @ waves).real,
+                             self.dimension, order)
+            for whole, row in zip(out, rows):
+                whole[start:start + len(x)] = row
+        return out
 
     value, gradient, hessian = _VIEWS
 

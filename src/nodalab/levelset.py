@@ -111,14 +111,18 @@ class Domain:
         return float(np.linalg.norm(hi - lo))
 
     def sample(self, n, rng):
-        """n uniform points as an (n, dim) array."""
+        """n uniform points as an (n, dim) array, scaled and shifted in place."""
         d = self.dimension
         if self.kind == "ball":
             dirs = _sphere_points(rng, n, d)
-            radii = self.radius * rng.random(n) ** (1.0 / d)
-            return np.array(self.center) + dirs * radii[:, None]
+            dirs *= (self.radius * rng.random(n) ** (1.0 / d))[:, None]
+            dirs += self.center
+            return dirs
         lo, hi = self.bbox()
-        return lo + rng.random((n, d)) * (hi - lo)
+        r = rng.random((n, d))
+        r *= hi - lo
+        r += lo
+        return r
 
     def signed_distance(self, X):
         """Negative inside, positive outside; -inf everywhere for the torus."""

@@ -178,6 +178,18 @@ class TestExitCodes:
         assert code == 2
         assert "dimensions 2 and 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "torus", "dimension": 2,
+         "modes": [{"m": [1, 0], "cos": "1", "sin": "0"}, {"m": [-1, 0], "cos": "-1", "sin": "0"}]},
+        {"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "neumann", "amplitude": "0.0"},
+    ], ids=["torus-opposite-waves", "box-zero-amplitude"])
+    def test_field_whose_waves_cancel_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        argv = ["density", "--field", str(path), "--N", "1e4", "--out", str(tmp_path / "out"), "--no-plot"]
+        assert run_cli(argv) == 2
+        assert "identically zero" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_density_writes_reports_with_config(self, tmp_path):

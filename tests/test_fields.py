@@ -2,6 +2,7 @@
 weights, and JSON round-trips."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from nodalab.fields import (
     SparsePolynomial,
     TrigEigenfunction,
     WeightedField,
+    _phasor,
     field_from_json,
     field_to_json,
     make_box_eigenfunction,
@@ -288,9 +290,9 @@ class TestTrigEigenfunctions:
 
     @pytest.mark.parametrize("field", [WAVE, WAVE_DIRICHLET, WAVE_NEUMANN],
                              ids=["wave", "dirichlet", "neumann"])
-    def test_two_trig_evaluations_per_point_and_axis(self, field, monkeypatch):
-        # one cos and one sin of omega x_d per axis with a non-zero frequency,
-        # whatever the number of modes
+    def test_jet_makes_no_libm_trig_call(self, field, monkeypatch):
+        # the phasors come from the roots-of-unity table built at import and a
+        # Taylor polynomial, so a jet calls neither np.cos nor np.sin
         counted = []
 
         def counting(fn):
@@ -302,9 +304,48 @@ class TestTrigEigenfunctions:
         monkeypatch.setattr(np, "cos", counting(np.cos))
         monkeypatch.setattr(np, "sin", counting(np.sin))
         pts = np.random.default_rng(0).uniform(0, 1, size=(100, field.dimension))
-        field.jet(pts, 1)
-        axes = sum(any(mode[0][d] for mode in field.modes) for d in range(field.dimension))
-        assert 0 < sum(counted) <= 2 * axes * len(pts)
+        field.jet(pts, 2)
+        assert counted == []
+
+    def test_phasor_is_exact_at_large_coordinates(self):
+        # the reduction works in turns, so no rounded 2 pi x is ever formed:
+        # cos(2 pi x) vanishes at k + 1/4 and is sqrt(1/2) at -1000.125
+        f = make_torus_eigenfunction([((1, 0), 1.0, 0.0)])
+        for k in (10, 100, 1000, 4096):
+            assert abs(f.value([k + 0.25, 0.0])) <= 1e-15, k
+        assert abs(f.value([-1000.125, 0.0]) - math.sqrt(0.5)) <= 1e-15
+        # from 2^53 on every float is a whole number of turns
+        assert f.value([2.0**70, 0.0]) == f.value([-(2.0**64), 0.0]) == 1.0
+
+    def test_phasor_matches_libm_on_the_unit_interval(self):
+        x = np.random.default_rng(2).uniform(0, 1, 4096)
+        step = np.empty(len(x), dtype=complex)
+        work = (*np.empty((4, len(x))), np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=complex))
+        _phasor(x, 1024.0, step, work)
+        assert np.abs(step - np.exp(2j * math.pi * x)).max() <= 2e-15
+        _phasor(x, 512.0, step, work)
+        assert np.abs(step - np.exp(1j * math.pi * x)).max() <= 2e-15
+
+    @pytest.mark.parametrize("flavor, modes", [
+        (TORUS, [((1, 0), 1.0, 0.0), ((-1, 0), -1.0, 0.0)]),
+        (TORUS, [((1, 2), 0.0, 0.0)]),
+        (BOX_DIRICHLET, [((1, 2), 0.5), ((1, 2), -0.5)]),
+        (BOX_NEUMANN, [((0, 3), 0.0)]),
+    ], ids=["torus-opposite-waves", "torus-zero", "dirichlet-opposite", "neumann-zero"])
+    def test_modes_that_cancel_are_rejected(self, flavor, modes):
+        with pytest.raises(FieldError, match="identically zero"):
+            TrigEigenfunction(flavor, modes, 2)
+
+    @pytest.mark.parametrize("field", [WAVE, WAVE_DIRICHLET, WAVE_NEUMANN],
+                             ids=["wave", "dirichlet", "neumann"])
+    def test_non_finite_points_give_nan_without_warning(self, field):
+        pts = np.array([[np.nan, 0.3], [np.inf, 0.3], [0.3, -np.inf], [0.2, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jet = field.jet(pts, 2)
+        for out in jet:
+            assert np.isnan(out[:3]).all()
+            assert np.isfinite(out[3]).all()
 
 
 class TestWeightsAndComposites:

@@ -53,6 +53,22 @@ class TestDomain:
             assert pts.shape == (5000, dom.dimension)
             assert (dom.signed_distance(pts) < 0).all()
 
+    @pytest.mark.parametrize("dom", [Domain.box([-1.0, 0.5], [2.0, 0.75]), Domain.torus(2),
+                                     Domain.ball([0.5, -1.0, 3.0], 1.5)], ids=["box", "torus", "ball"])
+    def test_sampling_in_place_keeps_the_bits(self, dom):
+        # scaling and shifting in place is the same arithmetic as lo + r (hi - lo)
+        # and center + dirs radii, so a seed gives the same points
+        got = dom.sample(1000, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        if dom.kind == "ball":
+            dirs = _sphere_points(rng, 1000, 3)
+            radii = dom.radius * rng.random(1000) ** (1.0 / 3)
+            expected = np.array(dom.center) + dirs * radii[:, None]
+        else:
+            lo, hi = dom.bbox()
+            expected = lo + rng.random((1000, 2)) * (hi - lo)
+        assert np.array_equal(got, expected)
+
     def test_ball_sampling_is_uniform(self):
         # fraction inside half the radius should be (1/2)^n
         rng = np.random.default_rng(1)
