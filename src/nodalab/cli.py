@@ -1,6 +1,7 @@
 """Command-line front end: build fields from JSON field documents (a preset
 or a --field file), run the analysis checks, write JSON/CSV reports and SVG
-line charts.
+line charts.  A command takes the input and output options and the options
+its check reads (its row of COMMANDS); any other flag is a usage error.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 config error.
 Two runs with the same config produce byte-identical JSON/CSV/SVG.
@@ -107,14 +108,25 @@ def _parse_real(text):
     return v
 
 
+# argparse keywords of every option a command may declare; the default is the command's
+_OPTIONS = {
+    "measure": {"choices": ["sigma", "mu", "weighted"], "help": "density flavor"},
+    "N": {"type": _parse_count, "help": "sample / node count, such as 1e6"},
+    "bins": {"type": int, "help": "histogram bins"},
+    "h": {"type": _parse_real, "help": "mesh resolution"},
+    "delta": {"type": _parse_real, "help": "central-difference step dt"},
+    "t": {"type": _parse_real, "help": "level (default: the preset's)"},
+    "t1": {"type": _parse_real, "help": "lower level (default: the preset's)"},
+    "t2": {"type": _parse_real, "help": "upper level (default: the preset's)"},
+    "rgrid": {"help": "radial (or level) grid lo:hi:step"},
+    "egrid": {"help": "threshold grid lo:hi:step"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "tol": {"type": _parse_real, "help": "relative tolerance"},
+}
+
+
 # ---------------------------------------------------------------------------
 # Output writers
-
-
-def _config_dict(args):
-    """Every parsed argument but --out and --workers, which change no result;
-    "command" is the report name."""
-    return {k: v for k, v in vars(args).items() if k not in ("out", "workers")}
 
 
 def _config_hash(cfg):
@@ -247,17 +259,17 @@ def _always_passes(rep):
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand.  `check(args, target)` returns its report, which is
-    written to <name>.json as `payload(report, args, target)`, to <name>.csv as
-    the columns `csv(report)` -> {header: values}, and (unless --no-plot) to
-    <name>.svg as the chart (title, x label, y label, series(report, args));
-    the title may name arguments, as in "{measure}".  `verdict(report)` sets
-    the exit code.  `n` and `h` are the defaults of --N and --h."""
+    """One subcommand.  `options` maps each option its check reads (a key of
+    _OPTIONS) to its default; a level None is the preset's.  `check(args,
+    target)` returns its report, written to <name>.json as `payload(report,
+    args, target)`, to <name>.csv as the columns `csv(report)` -> {header:
+    values}, and (unless --no-plot) to <name>.svg as the chart (title, x
+    label, y label, series(report, args)); the title may name arguments, as
+    in "{measure}".  `verdict(report)` sets the exit code."""
 
     help: str
+    options: dict
     check: object = None
-    n: int = 10**5
-    h: float = 0.02
     payload: object = _keyed("identity")
     csv: object = None
     chart: tuple = None
@@ -286,8 +298,7 @@ def _corollary_columns(reps):
 
 def _explore(args, target):
     P = _require_harmonic(target)
-    grid = _parse_grid(args.rgrid or "0.2:1.2:0.1")
-    return analysis.explore_general_monotonicity(P, [0.0] * P.dimension, grid, h=args.h)
+    return analysis.explore_general_monotonicity(P, [0.0] * P.dimension, _parse_grid(args.rgrid), h=args.h)
 
 
 def _explore_payload(table, args, target):
@@ -304,9 +315,11 @@ def _explore_payload(table, args, target):
     }
 
 
+_DENSITY_OPTIONS = {"measure": "mu", "N": 10**6, "bins": 64, "seed": 0}
+
 COMMANDS = {
     "density": _Command(
-        "value-distribution density histogram", _density, n=10**6,
+        "value-distribution density histogram", _DENSITY_OPTIONS, _density,
         payload=lambda d, args, target: {"density": d.to_json(), "field": field_to_json(target["field"])},
         csv=lambda d: {"t": d.centers, "density": d.density, "density_se": d.density_se,
                        "raw_psi": d.raw_psi, "raw_se": d.raw_se},
@@ -315,53 +328,48 @@ COMMANDS = {
         verdict=_always_passes,
     ),
     "unimodal": _Command(
-        "density + unimodality detector", _unimodal, n=10**6,
+        "density + unimodality detector", _DENSITY_OPTIONS, _unimodal,
         payload=lambda rep, args, target: {"unimodality": rep.to_json(), "measure": args.measure},
     ),
     "curvature": _Command(
-        "pointwise weighted-mean-curvature identity",
+        "pointwise weighted-mean-curvature identity", {"N": 1024, "seed": 0},
         lambda args, target: analysis.curvature_identity_check(
             target["field"], n_points=args.N, seed=args.seed, domain=target["domain"]),
-        n=1024,
     ),
     "divergence": _Command(
-        "slab flux balance identity",
+        "slab flux balance identity", {"t1": None, "t2": None, "N": 10**6, "h": 0.01, "seed": 0},
         lambda args, target: analysis.divergence_identity_check(
             target["field"], _given(args.t1, target["t1"]), _given(args.t2, target["t2"]),
             target["domain"], n_samples=args.N, seed=args.seed, h=args.h, workers=args.workers),
-        n=10**6, h=0.01,
     ),
     "deriv": _Command(
-        "level-set derivative identity",
+        "level-set derivative identity", {"t": None, "delta": 0.01, "h": 0.01, "seed": 0},
         lambda args, target: analysis.levelset_derivative_check(
-            target["field"], _given(args.t, target["t"]), _given(args.delta, 0.01),
+            target["field"], _given(args.t, target["t"]), args.delta,
             domain=target["domain"], h=args.h, seed=args.seed),
-        h=0.01,
     ),
     "prop51": _Command(
-        "sphere-flux radial identity",
+        "sphere-flux radial identity", {"t": None, "rgrid": "0.7:1.5:0.01", "h": 0.01, "tol": 0.03},
         lambda args, target: analysis.prop51_check(
             _require_harmonic(target), _given(args.t, target["t"]),
-            _parse_grid(args.rgrid or "0.7:1.5:0.01"), h=args.h, rel_tol=args.tol),
-        h=0.01,
+            _parse_grid(args.rgrid), h=args.h, rel_tol=args.tol),
         csv=lambda rep: {c: rep.details[c] for c in ("r", "I", "J")},
         chart=("sphere-flux identity", "r", "value",
                lambda rep, args: [_series("dG/dr", rep.details["r"][1:-1], rep.details["dG"]),
                                   _series("(n+k-2) I/r", rep.details["r"][1:-1], rep.details["rhs"])]),
     ),
     "monotone": _Command(
-        "density-ratio monotonicity",
+        "density-ratio monotonicity", {"t": None, "rgrid": "0.6:1.6:0.05", "h": 0.02},
         lambda args, target: analysis.monotonicity_check(
-            _require_harmonic(target), _given(args.t, target["t"]),
-            _parse_grid(args.rgrid or "0.6:1.6:0.05"), h=args.h),
+            _require_harmonic(target), _given(args.t, target["t"]), _parse_grid(args.rgrid), h=args.h),
         payload=_keyed("monotonicity"),
         csv=lambda rep: dict(zip(("r", "F", "error"), _curve(rep))),
         chart=("density ratio F(r)", "r", "F", lambda rep, args: [_series("F(r)", *_curve(rep))]),
     ),
     "corollary": _Command(
-        "level-set area unimodality over t",
+        "level-set area unimodality over t", {"rgrid": "-0.9:0.9:0.15", "h": 0.02},
         lambda args, target: analysis.corollary_unimodality(
-            _require_harmonic(target), _parse_grid(args.rgrid or "-0.9:0.9:0.15"), h=args.h),
+            _require_harmonic(target), _parse_grid(args.rgrid), h=args.h),
         payload=lambda reps, args, target: {
             "negative_side": reps[0].to_json(), "positive_side": reps[1].to_json(),
             "passed": _both_passed(reps)},
@@ -371,25 +379,22 @@ COMMANDS = {
         verdict=_both_passed,
     ),
     "sphere": _Command(
-        "spherical superlevel functional monotonicity",
+        "spherical superlevel functional monotonicity", {"egrid": "0.1:0.9:0.1", "N": 10**6, "seed": 0},
         lambda args, target: analysis.spherical_monotonicity(
-            _require_harmonic(target), _parse_grid(args.egrid or "0.1:0.9:0.1"),
-            n_samples=args.N, seed=args.seed),
-        n=10**6,
+            _require_harmonic(target), _parse_grid(args.egrid), n_samples=args.N, seed=args.seed),
         payload=_keyed("monotonicity"),
         csv=lambda rep: dict(zip(("eps", "value", "se"), _curve(rep))),
         chart=("superlevel functional", "eps", "value",
                lambda rep, args: [_series("functional", *_curve(rep))]),
     ),
     "robin": _Command(
-        "Robin boundary flux identity",
+        "Robin boundary flux identity", {"t1": None, "t2": None, "N": 10**6, "h": 0.01},
         lambda args, target: analysis.robin_identity_check(
             _require_harmonic(target), _given(args.t1, target["t1"]), _given(args.t2, target["t2"]),
             h=args.h, quad_nodes=args.N),
-        n=10**6, h=0.01,
     ),
     "explore": _Command(
-        "exponent scan for general harmonic nodal sets", _explore,
+        "exponent scan for general harmonic nodal sets", {"rgrid": "0.2:1.2:0.1", "h": 0.02}, _explore,
         payload=_explore_payload,
         csv=lambda table: {"r": table["r"], "I": table["I"],
                            **{f"ratio_e{e:g}": rec["values"] for e, rec in table["exponents"].items()}},
@@ -398,7 +403,7 @@ COMMANDS = {
                                     for e, rec in table["exponents"].items()]),
         verdict=_always_passes,
     ),
-    "suite": _Command("full reduced-scale battery"),
+    "suite": _Command("full reduced-scale battery", {"seed": 0}),
 }
 
 
@@ -411,7 +416,8 @@ def _execute(command, args, name=None, target=None):
     if target is None:
         target = _load_target(args)
     rep = spec.check(args, target)
-    cfg = _config_dict(args)
+    # every parsed option but --out and --workers, which change no result
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "workers")}
     stem = os.path.join(args.out, args.command)
     _write_json(stem + ".json", spec.payload(rep, args, target), cfg)
     if spec.csv:
@@ -423,7 +429,7 @@ def _execute(command, args, name=None, target=None):
     return spec.verdict(rep), stem + ".json", rep
 
 
-# (label, command, overrides of the suite's own arguments, report name (None: the
+# (label, command, overrides of the command's defaults, report name (None: the
 # command's), expected verdict)
 _SUITE = (
     ("unimodal-mu", "unimodal",
@@ -432,10 +438,9 @@ _SUITE = (
      {"preset": "torus-sin", "measure": "sigma", "N": 200_000, "bins": 32}, "unimodal_sigma", False),
     *((f"curvature-{preset}", "curvature", {"preset": preset, "N": 1024}, f"curvature_{preset}", True)
       for preset in ("torus-sin", "p=x3", "x2-y2", "box-dirichlet", "box-neumann", "hermite-gaussian")),
-    ("divergence-torus", "divergence",
-     {"preset": "torus-sin", "N": 200_000, "h": 0.005, "t1": None, "t2": None}, None, True),
+    ("divergence-torus", "divergence", {"preset": "torus-sin", "N": 200_000, "h": 0.005}, None, True),
     ("divergence-box-neumann", "divergence",
-     {"preset": "box-neumann", "N": 100_000, "h": 0.005, "t1": None, "t2": None}, "divergence_box", True),
+     {"preset": "box-neumann", "N": 100_000, "h": 0.005}, "divergence_box", True),
     ("deriv-torus", "deriv", {"preset": "torus-sin", "t": 0.5, "delta": 0.01, "h": 0.005}, None, True),
     ("monotone-x3", "monotone", {"preset": "p=x3", "t": 0.5, "rgrid": "0.6:1.6:0.1", "h": 0.05}, None, True),
     ("prop51-x3", "prop51",
@@ -449,10 +454,14 @@ _SUITE = (
 
 def _run_suite(args):
     """Reduced-scale battery over the shipped presets; passes iff every step
-    gives its expected verdict."""
+    gives its expected verdict.  A step runs its command with the command's
+    defaults, the suite's --seed (where the command takes one) and output
+    options, then the step's overrides."""
     failures = []
     for label, command, overrides, name, expected in _SUITE:
-        ns = argparse.Namespace(**{**vars(args), "field": None, **overrides})
+        options = COMMANDS[command].options
+        shared = {k: v for k, v in vars(args).items() if k in options or k in ("out", "plot", "workers")}
+        ns = argparse.Namespace(**{**options, "field": None, **shared, **overrides})
         passed, path, _ = _execute(command, ns, name=name)
         ok = passed == expected
         print(f"[suite] {'PASS' if ok else 'FAIL'} {label} -> {path}")
@@ -476,25 +485,16 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        p.add_argument("--preset", default=None, help=f"one of: {', '.join(PRESETS)}")
-        p.add_argument("--field", default=None, help="path to a field JSON document")
-        p.add_argument("--measure", default="mu", choices=["sigma", "mu", "weighted"])
-        p.add_argument("--N", type=_parse_count, default=spec.n)
-        p.add_argument("--bins", type=int, default=64)
-        p.add_argument("--h", type=_parse_real, default=spec.h)
-        p.add_argument("--delta", type=_parse_real, default=None, help="central-difference step dt (deriv)")
-        p.add_argument("--t", type=_parse_real, default=None)
-        p.add_argument("--t1", type=_parse_real, default=None)
-        p.add_argument("--t2", type=_parse_real, default=None)
-        p.add_argument("--rgrid", default=None, help="lo:hi:step")
-        p.add_argument("--egrid", default=None, help="lo:hi:step")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="nodalab-out")
-        p.add_argument("--plot", dest="plot", action="store_true", default=True)
-        p.add_argument("--no-plot", dest="plot", action="store_false")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--tol", type=_parse_real, default=0.03, help="relative tolerance (prop51)")
+        # no abbreviations: --h would be --help, and --t would be --tol where there is no --t
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
+        if name != "suite":  # the suite's steps name their presets
+            p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
+            p.add_argument("--field", help="path to a field JSON document")
+        for option, default in spec.options.items():
+            p.add_argument(f"--{option}", default=default, **_OPTIONS[option])
+        p.add_argument("--out", default="nodalab-out", help="output directory")
+        p.add_argument("--no-plot", dest="plot", action="store_false", help="write no SVG charts")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="Monte Carlo threads")
     return parser
 
 

@@ -380,7 +380,9 @@ def _phasor(x, steps, out, work):
 
 def _plane_waves(flavor, modes, dimension):
     """(turns, m, w) with f = Re sum_j w_j exp(2 pi i turns m_j.x), one entry
-    per distinct wave vector up to sign; waves that cancel are dropped.
+    per distinct wave vector up to sign; waves that cancel are dropped.  A
+    wave merged from k weights w_i cancels when |sum w_i| is within the
+    round-off of that sum, (k - 1) eps sum |w_i|; for k = 1 only when w = 0.
 
     A torus mode a cos(2 pi m.x) + b sin(2 pi m.x) is the wave (m, a - ib).  A
     box mode amp prod_d phi(pi k_d x_d) expands by sin t = (e^{it} - e^{-it})/2i
@@ -393,7 +395,8 @@ def _plane_waves(flavor, modes, dimension):
         # Re(w e^{-i t}) = Re(conj(w) e^{i t}): keep the first non-zero entry positive
         if next((v for v in m if v), 0) < 0:
             m, w = tuple(-v for v in m), w.conjugate()
-        waves[m] = waves.get(m, 0) + w
+        total, count, size = waves.get(m, (0, 0, 0.0))
+        waves[m] = (total + w, count + 1, size + abs(w))
 
     if flavor == TORUS:
         turns = 1.0
@@ -406,7 +409,7 @@ def _plane_waves(flavor, modes, dimension):
         for k, amp in modes:
             for signs in itertools.product((1, -1), repeat=dimension):
                 add(tuple(s * v for s, v in zip(signs, k)), amp * math.prod(half[s] for s in signs))
-    live = [(m, w) for m, w in waves.items() if w != 0]
+    live = [(m, w) for m, (w, k, size) in waves.items() if abs(w) > (k - 1) * np.finfo(float).eps * size]
     m = np.array([m for m, _ in live], dtype=np.int64).reshape(len(live), dimension)
     return turns, m, np.array([w for _, w in live], dtype=complex)
 

@@ -321,13 +321,13 @@ def _critical_floor(gradnorms):
 
 
 def _facet_geometry(verts):
-    """(areas, centroids) for segment (nv=2) or triangle (nv=3) facets."""
+    """(areas, centroids) of `extract`'s facets: segments (nv=2) in 2D, triangles (nv=3) in 3D."""
     centroids = verts.mean(axis=1)
     if verts.shape[1] == 2:
         areas = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
     else:
         cross = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=-1) if verts.shape[2] == 3 else 0.5 * np.abs(cross)
+        areas = 0.5 * np.linalg.norm(cross, axis=-1)
     return areas, centroids
 
 
@@ -425,8 +425,7 @@ def _clip_facets(verts, domain, h_min):
     work = verts
     while len(work):
         diam = _facet_diameters(work)
-        _, cents = _facet_geometry(work)
-        sd = domain.signed_distance(cents)
+        sd = domain.signed_distance(work.mean(axis=1))
         inside = sd < -diam
         outside = sd > diam
         boundary = ~(inside | outside)

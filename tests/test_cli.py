@@ -2,6 +2,8 @@
 and byte-level determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,6 +17,33 @@ from nodalab.fields import field_to_json, make_torus_eigenfunction
 
 def run_cli(args):
     return cli.run(args)
+
+
+# the options each command reads, besides --preset and --field (not suite), --out, --no-plot and --workers
+OWN_OPTIONS = {
+    "density": {"measure", "N", "bins", "seed"},
+    "unimodal": {"measure", "N", "bins", "seed"},
+    "curvature": {"N", "seed"},
+    "divergence": {"t1", "t2", "N", "h", "seed"},
+    "deriv": {"t", "delta", "h", "seed"},
+    "prop51": {"t", "rgrid", "h", "tol"},
+    "monotone": {"t", "rgrid", "h"},
+    "corollary": {"rgrid", "h"},
+    "sphere": {"egrid", "N", "seed"},
+    "robin": {"t1", "t2", "N", "h"},
+    "explore": {"rgrid", "h"},
+    "suite": {"seed"},
+}
+
+
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    """`nodalab suite --seed 42 --no-plot`: its report directory and what it printed."""
+    out = tmp_path_factory.mktemp("suite")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli(["suite", "--seed", "42", "--out", str(out), "--no-plot"]) == 0
+    return out, printed.getvalue()
 
 
 class TestParsing:
@@ -146,6 +175,21 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["monotone", "--preset", "p=x3", "--bins", "5"],
+        # with abbreviations, --h would be --help: exit 0 and no report
+        ["curvature", "--preset", "torus-sin", "--h", "0.1"],
+        ["prop51", "--preset", "p=x3", "--seed", "3"],
+        ["robin", "--preset", "p=x3", "--measure", "sigma"],
+        ["density", "--preset", "torus-sin", "--tol", "0.5"],
+        ["suite", "--preset", "torus-sin"],
+        ["curvature", "--preset", "torus-sin", "--plot"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([
             "unimodal", "--preset", "torus-sin", "--measure", "mu",
@@ -182,7 +226,11 @@ class TestExitCodes:
         {"kind": "torus", "dimension": 2,
          "modes": [{"m": [1, 0], "cos": "1", "sin": "0"}, {"m": [-1, 0], "cos": "-1", "sin": "0"}]},
         {"kind": "box", "dimension": 2, "k": [1, 1], "flavor": "neumann", "amplitude": "0.0"},
-    ], ids=["torus-opposite-waves", "box-zero-amplitude"])
+        # 0.1 + 0.2 - 0.3 leaves 5.55e-17 in floating point
+        {"kind": "torus", "dimension": 2,
+         "modes": [{"m": [1, 0], "cos": "0.1", "sin": "0"}, {"m": [1, 0], "cos": "0.2", "sin": "0"},
+                   {"m": [-1, 0], "cos": "-0.3", "sin": "0"}]},
+    ], ids=["torus-opposite-waves", "box-zero-amplitude", "torus-decimal-sum"])
     def test_field_whose_waves_cancel_is_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
@@ -318,17 +366,44 @@ class TestOutputs:
         assert reports[0] == reports[1]
 
     def test_config_records_every_option_but_out_and_workers(self, tmp_path):
-        hashes = []
-        for tol in ("0.03", "0.5"):
-            out = tmp_path / tol
-            run_cli(["prop51", "--preset", "p=x3", "--t", "0.5", "--rgrid", "0.7:1.5:0.1", "--h", "0.05",
-                     "--tol", tol, "--out", str(out), "--no-plot"])
-            doc = json.loads((out / "prop51.json").read_text())
-            assert doc["config"]["tol"] == float(tol)
-            hashes.append(doc["config_hash"])
-        assert hashes[0] != hashes[1]
-        parsed = vars(cli._build_parser().parse_args(["prop51"]))
-        assert set(doc["config"]) == set(parsed) - {"out", "workers"}
+        # (argv, an option the command reads, two values of it): one input per command
+        runs = [
+            (["density", "--preset", "torus-sin", "--N", "1e4", "--bins", "16"], "seed", ("0", "1")),
+            (["unimodal", "--preset", "torus-sin", "--N", "1e4"], "bins", ("16", "32")),
+            (["curvature", "--preset", "torus-sin", "--N", "64"], "seed", ("0", "1")),
+            (["divergence", "--preset", "torus-sin", "--N", "1e4", "--h", "0.05"], "t1", ("0", "0.1")),
+            (["deriv", "--preset", "torus-sin", "--h", "0.05"], "delta", ("0.01", "0.02")),
+            (["prop51", "--preset", "p=x3", "--t", "0.5", "--rgrid", "0.7:1.5:0.1", "--h", "0.05"],
+             "tol", ("0.03", "0.5")),
+            (["monotone", "--preset", "p=x3", "--rgrid", "0.8:1.2:0.2", "--h", "0.1"], "t", ("0.4", "0.5")),
+            (["corollary", "--preset", "p=x3", "--h", "0.1"], "rgrid", ("-0.6:0.6:0.3", "-0.6:0.6:0.4")),
+            (["sphere", "--preset", "p=x3", "--N", "1e4"], "egrid", ("0.2:0.8:0.3", "0.1:0.9:0.4")),
+            (["robin", "--preset", "p=x3", "--N", "1e3", "--h", "0.05"], "t2", ("0.4", "0.5")),
+            (["explore", "--preset", "harmonic-mix", "--rgrid", "0.2:1.0:0.4"], "h", ("0.1", "0.2")),
+            (["suite"], "seed", ("0", "1")),
+        ]
+        assert {argv[0] for argv, _, _ in runs} == set(cli.COMMANDS)
+        for argv, option, values in runs:
+            inputs = set() if argv[0] == "suite" else {"preset", "field"}
+            parsed = vars(cli._build_parser().parse_args([argv[0]]))
+            assert set(parsed) == {"command", *inputs, *OWN_OPTIONS[argv[0]], "out", "plot", "workers"}
+            hashes = []
+            for value in values:
+                out = tmp_path / argv[0] / value
+                run_cli([*argv, f"--{option}={value}", "--out", str(out), "--no-plot"])
+                expected = getattr(cli._build_parser().parse_args([argv[0], f"--{option}={value}"]), option)
+                docs = [json.loads(path.read_text()) for path in sorted(out.glob("*.json"))]
+                assert docs, argv
+                for doc in docs:
+                    # a report is named after its command: density, unimodal_density, curvature_p=x3, ...
+                    parsed = vars(cli._build_parser().parse_args([doc["config"]["command"].split("_")[0]]))
+                    assert set(doc["config"]) == set(parsed) - {"out", "workers"}
+                    assert doc["config_hash"] == cli._config_hash(doc["config"])
+                readers = {doc["config"]["command"]: doc for doc in docs if option in doc["config"]}
+                assert readers and all(doc["config"][option] == expected for doc in readers.values())
+                hashes.append({name: doc["config_hash"] for name, doc in readers.items()})
+            assert hashes[0].keys() == hashes[1].keys()
+            assert all(hashes[0][name] != hashes[1][name] for name in hashes[0]), argv
 
     def test_sphere_in_four_dimensions(self, tmp_path):
         path = tmp_path / "x4.json"
@@ -337,16 +412,35 @@ class TestOutputs:
         assert run_cli(["sphere", "--field", str(path), "--N", "1e5", "--out", str(tmp_path), "--no-plot"]) == 0
         assert json.loads((tmp_path / "sphere.json").read_text())["monotonicity"]["passed"] is True
 
-    def test_suite_keeps_every_report_it_prints(self, tmp_path, capsys):
-        assert run_cli(["suite", "--seed", "42", "--out", str(tmp_path), "--no-plot"]) == 0
-        printed = [line.split(" -> ")[1] for line in capsys.readouterr().out.splitlines() if " -> " in line]
+    def test_suite_keeps_every_report_it_prints(self, suite_run):
+        out, stdout = suite_run
+        printed = [line.split(" -> ")[1] for line in stdout.splitlines() if " -> " in line]
         assert len(printed) == len(cli._SUITE)
         for path in printed:
             assert os.path.isfile(path), path
         for name, measure in (("unimodal", "mu"), ("unimodal_sigma", "sigma")):
-            assert json.loads((tmp_path / f"{name}.json").read_text())["measure"] == measure
-            density = json.loads((tmp_path / f"{name}_density.json").read_text())
+            assert json.loads((out / f"{name}.json").read_text())["measure"] == measure
+            density = json.loads((out / f"{name}_density.json").read_text())
             assert density["config"]["measure"] == measure
+
+    def test_suite_steps_override_only_their_commands_options(self):
+        for label, command, overrides, _, _ in cli._SUITE:
+            assert set(overrides) <= {"preset", *cli.COMMANDS[command].options}, label
+
+    @pytest.mark.parametrize("step", cli._SUITE, ids=lambda step: step[0])
+    def test_suite_step_equals_its_command_run_alone(self, tmp_path, suite_run, step):
+        _, command, overrides, name, _ = step
+        seed = {"seed": 42} if "seed" in vars(cli._build_parser().parse_args([command])) else {}
+        argv = [command, *(f"--{k}={v}" for k, v in {**seed, **overrides}.items())]
+        run_cli([*argv, "--out", str(tmp_path), "--no-plot"])
+        reports = sorted(tmp_path.glob("*.json"))
+        assert reports
+        for path in reports:  # <command>.json, and unimodal_density.json
+            alone = json.loads(path.read_text())
+            in_suite = json.loads((suite_run[0] / path.name.replace(command, name or command, 1)).read_text())
+            for doc in (alone, in_suite):
+                del doc["config"]["command"], doc["config_hash"]
+            assert in_suite == alone
 
 
 class TestSvg:

@@ -331,10 +331,17 @@ class TestTrigEigenfunctions:
         (TORUS, [((1, 2), 0.0, 0.0)]),
         (BOX_DIRICHLET, [((1, 2), 0.5), ((1, 2), -0.5)]),
         (BOX_NEUMANN, [((0, 3), 0.0)]),
-    ], ids=["torus-opposite-waves", "torus-zero", "dirichlet-opposite", "neumann-zero"])
+        # 0.1 + 0.2 - 0.3 leaves 5.55e-17 in floating point
+        (TORUS, [((1, 0), 0.1, 0.0), ((1, 0), 0.2, 0.0), ((-1, 0), -0.3, 0.0)]),
+    ], ids=["torus-opposite-waves", "torus-zero", "dirichlet-opposite", "neumann-zero", "torus-decimal-sum"])
     def test_modes_that_cancel_are_rejected(self, flavor, modes):
         with pytest.raises(FieldError, match="identically zero"):
             TrigEigenfunction(flavor, modes, 2)
+
+    def test_wave_above_the_round_off_of_its_sum_is_kept(self):
+        # 1 - (1 - 2^-40) = 2^-40 exactly, far above the bound eps (1 + (1 - 2^-40))
+        field = TrigEigenfunction(TORUS, [((1, 0), 1.0, 0.0), ((-1, 0), -(1.0 - 2.0**-40), 0.0)], 2)
+        assert field._w.tolist() == [2.0**-40]
 
     @pytest.mark.parametrize("field", [WAVE, WAVE_DIRICHLET, WAVE_NEUMANN],
                              ids=["wave", "dirichlet", "neumann"])
