@@ -108,23 +108,6 @@ def _parse_real(text):
     return v
 
 
-# argparse keywords of every option a command may declare; the default is the command's
-_OPTIONS = {
-    "measure": {"choices": ["sigma", "mu", "weighted"], "help": "density flavor"},
-    "N": {"type": _parse_count, "help": "sample / node count, such as 1e6"},
-    "bins": {"type": int, "help": "histogram bins"},
-    "h": {"type": _parse_real, "help": "mesh resolution"},
-    "delta": {"type": _parse_real, "help": "central-difference step dt"},
-    "t": {"type": _parse_real, "help": "level (default: the preset's)"},
-    "t1": {"type": _parse_real, "help": "lower level (default: the preset's)"},
-    "t2": {"type": _parse_real, "help": "upper level (default: the preset's)"},
-    "rgrid": {"help": "radial (or level) grid lo:hi:step"},
-    "egrid": {"help": "threshold grid lo:hi:step"},
-    "seed": {"type": int, "help": "RNG seed"},
-    "tol": {"type": _parse_real, "help": "relative tolerance"},
-}
-
-
 # ---------------------------------------------------------------------------
 # Output writers
 
@@ -476,6 +459,23 @@ def _run_suite(args):
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+# argparse keywords of every option a command may declare; the default is the command's
+_OPTIONS = {
+    "measure": {"choices": ["sigma", "mu", "weighted"], "help": "density flavor"},
+    "N": {"type": _parse_count, "help": "sample / node count, such as 1e6"},
+    "bins": {"type": int, "help": "histogram bins"},
+    "h": {"type": _parse_real, "help": "mesh resolution"},
+    "delta": {"type": _parse_real, "help": "central-difference step dt"},
+    "t": {"type": _parse_real, "help": "level (default: the preset's)"},
+    "t1": {"type": _parse_real, "help": "lower level (default: the preset's)"},
+    "t2": {"type": _parse_real, "help": "upper level (default: the preset's)"},
+    "rgrid": {"help": "radial (or level) grid lo:hi:step"},
+    "egrid": {"help": "threshold grid lo:hi:step"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "tol": {"type": _parse_real, "help": "relative tolerance"},
+}
 
 
 def _build_parser():
