@@ -19,6 +19,8 @@ from .fields import (
     WeightedField,
     TORUS,
     BOX_DIRICHLET,
+    _norms,
+    _sq_norms,
 )
 from .harmonics import spherical_values
 from .levelset import (
@@ -238,7 +240,7 @@ def _level_curvature(field, pts, g, hess):
     """Geometry of the level sets of f through regular points `pts`, with g, hess
     = grad f, Hess f there: (unit normal N, |grad f|, Hess f(N, N), mean
     curvature H, Delta f), where H = -(Delta f - Hess f(N, N)) / |grad f|."""
-    norms = np.linalg.norm(g, axis=1)
+    norms = _norms(g)
     lap = field.laplacian(pts)
     N = g / norms[:, None]
     hNN = np.einsum("ni,nij,nj->n", N, hess, N)
@@ -261,7 +263,7 @@ def curvature_identity_check(field, n_points=1024, seed=0, domain=None):
     def run(rng, size):
         pts = domain.sample(size, rng)
         _, g, hess = base.jet(pts, 2)
-        norms = np.linalg.norm(g, axis=1)
+        norms = _norms(g)
         regular = (norms > 0) & (norms >= _critical_floor(norms))
         if not regular.any():
             return 0.0, 0
@@ -467,7 +469,7 @@ def prop51_check(P, t0, r_grid, h=0.01, h_min=None, rel_tol=0.03):
 
     def w_J(cents, gradnorms, floor):
         # near-critical facets are bounded by the flagging floor instead of failing
-        return 1.0 / ((cents**2).sum(axis=1) * np.maximum(gradnorms, floor))
+        return 1.0 / (_sq_norms(cents) * np.maximum(gradnorms, floor))
 
     (I, J), _, info = radial_profile(P, t0, r_grid, h=h, h_min=h / 8.0 if h_min is None else h_min,
                                      weight_fns=(None, w_J))
@@ -541,8 +543,12 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
     e_exp = (n + k - 2) / k
     gamma = (n + 2 * k - 2) / k
     area = _sphere_area(n)
-
     n_samples = int(n_samples)
+    # a sample in cell c lies at or above exactly the c smallest thresholds, so the
+    # sums over p >= eps are suffix sums of per-cell sums, read back in the
+    # caller's order by rank (tied thresholds share one)
+    sorted_eps = np.sort(eps_grid)
+    rank = np.searchsorted(sorted_eps, eps_grid)
 
     def run(rng, size):
         p, g2 = spherical_values(P, _sphere_points(rng, size, n))
@@ -550,9 +556,12 @@ def spherical_monotonicity(P, eps_grid, n_samples=10**6, seed=0):
         positive = p > 0
         dens = np.zeros(size)
         dens[positive] = (g2[positive] + k**2 * p[positive] ** 2) / p[positive] ** gamma
-        # (size, E) indicator matrix is fine at chunk granularity
-        terms = dens[:, None] * (p[:, None] >= eps_grid[None, :])
-        return terms.sum(axis=0), (terms**2).sum(axis=0)
+        cell = np.searchsorted(sorted_eps, p, side="right")
+        sums = []
+        for w in (dens, dens * dens):
+            suffix = np.cumsum(np.bincount(cell, weights=w, minlength=len(eps_grid) + 1)[::-1])
+            sums.append(suffix[-2::-1][rank])  # entry i: cells i+1..E, where p >= sorted_eps[i]
+        return tuple(sums)
 
     mean, se = _mean_and_se(_map_chunks(run, n_samples, seed), n_samples)
     values = eps_grid**e_exp * area * mean

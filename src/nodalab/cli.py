@@ -108,6 +108,24 @@ def _parse_real(text):
     return v
 
 
+def _parse_seed(text):
+    """argparse type of --seed: a whole number in [0, 2^32).  The Monte Carlo
+    generators keep a seed's low 32 bits, so a wider one would repeat a seed
+    in range under another config hash."""
+    v = int(text)
+    if not 0 <= v < 2**32:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}: expected a whole number in [0, 2^32)")
+    return v
+
+
+def _parse_workers(text):
+    """argparse type of --workers: a whole number >= 1."""
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r}: expected a whole number >= 1")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Output writers
 
@@ -473,7 +491,7 @@ _OPTIONS = {
     "t2": {"type": _parse_real, "help": "upper level (default: the preset's)"},
     "rgrid": {"help": "radial (or level) grid lo:hi:step"},
     "egrid": {"help": "threshold grid lo:hi:step"},
-    "seed": {"type": int, "help": "RNG seed"},
+    "seed": {"type": _parse_seed, "help": "RNG seed, 0 <= seed < 2^32"},
     "tol": {"type": _parse_real, "help": "relative tolerance"},
 }
 
@@ -494,7 +512,7 @@ def _build_parser():
             p.add_argument(f"--{option}", default=default, **_OPTIONS[option])
         p.add_argument("--out", default="nodalab-out", help="output directory")
         p.add_argument("--no-plot", dest="plot", action="store_false", help="write no SVG charts")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="Monte Carlo threads")
+        p.add_argument("--workers", type=_parse_workers, default=os.cpu_count() or 1, help="Monte Carlo threads")
     return parser
 
 

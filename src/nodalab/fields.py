@@ -54,6 +54,21 @@ def _whole_dimension(dimension):
     return int(dimension)
 
 
+def _sq_norms(X):
+    """Squared Euclidean norms along the last axis of X, summed column by column:
+    the bits of (X**2).sum(axis=-1) for fewer than 8 columns (NumPy sums 8 or
+    more pairwise), with no array of squares the size of X."""
+    s = np.square(X[..., 0])
+    for d in range(1, X.shape[-1]):
+        s += np.square(X[..., d])
+    return s
+
+
+def _norms(X):
+    """Euclidean norms along the last axis of X: np.linalg.norm(X, axis=-1) by `_sq_norms`."""
+    return np.sqrt(_sq_norms(X))
+
+
 class ScalarField:
     """A differentiable scalar field on R^n (or the unit torus cell).
 
@@ -92,7 +107,7 @@ class ScalarField:
         return np.trace(hess, axis1=-2, axis2=-1)
 
     def grad_norm(self, x):
-        return np.linalg.norm(self.gradient(x), axis=-1)
+        return _norms(self.gradient(x))
 
 
 # `perfbench/spans.py` wraps `value`, `gradient` and `hessian` in each family's
@@ -278,14 +293,17 @@ class SparsePolynomial(ScalarField):
                     w *= exps[:, d] - j
             live = np.flatnonzero(w)
             low = np.maximum(exps[live] - alpha, 0)
-            prod = table[0, low[:, 0]]
-            for d in range(1, self.dimension):
-                prod *= table[d, low[:, d]]
             # term by term, in a fixed order: a BLAS product, or einsum at a single
-            # point, sums in an order (and so to last bits) set by the batch size
-            out = np.zeros(len(pts))
-            for c, row in zip(w[live], prod):
-                out += c * row
+            # point, sums in an order (and so to last bits) set by the batch size.
+            # Each term is built in one reused row, not gathered as (terms x points).
+            out, term = np.zeros(len(pts)), np.empty(len(pts))
+            for c, row in zip(w[live].tolist(), low.tolist()):
+                term.fill(1.0)
+                for d, k in enumerate(row):
+                    if k:
+                        term *= table[d, k]
+                term *= c
+                out += term
             return out
 
         return _assemble(partial, self.dimension, order)
@@ -534,7 +552,7 @@ class GaussianWeight(ScalarField):
         self.dimension = _whole_dimension(dimension)
 
     def _jet(self, pts, order):
-        rho = np.exp(-0.5 * (pts**2).sum(axis=1))
+        rho = np.exp(-0.5 * _sq_norms(pts))
         out = [rho]
         if order >= 1:
             out.append(-pts * rho[:, None])
@@ -560,7 +578,7 @@ class GradientNormField(ScalarField):
         if order > 1:
             raise NotImplementedError("second derivatives of |grad f| are not provided")
         _, g, *hess = self.base.jet(pts, order + 1)
-        norm = np.linalg.norm(g, axis=-1)
+        norm = _norms(g)
         if order == 0:
             return [norm]
         hg = np.einsum("nij,nj->ni", hess[0], g)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import FieldError, SparsePolynomial
+from .fields import FieldError, SparsePolynomial, _sq_norms
 
 
 def monomial_exponents(n, d):
@@ -118,4 +118,4 @@ def spherical_values(P: SparsePolynomial, pts):
     """
     k = P.homogeneous_degree()
     p, g = P.jet(pts, 1)
-    return p, (g**2).sum(axis=1) - k**2 * p**2
+    return p, _sq_norms(g) - k**2 * p**2

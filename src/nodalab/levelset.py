@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .fields import FieldError
+from .fields import FieldError, _norms
 
 # irrational grid-origin shift: keeps level values off the grid nodes
 _GRID_SHIFT = 0.2360679774997897
@@ -44,7 +44,7 @@ class LevelSetError(ValueError):
 def _sphere_points(rng, n, d):
     """n uniform points on the unit sphere S^(d-1): normalised Gaussians."""
     dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= _norms(dirs)[:, None]
     return dirs
 
 
@@ -130,7 +130,7 @@ class Domain:
         if self.kind == "torus":
             return np.full(len(X), -np.inf)
         if self.kind == "ball":
-            return np.linalg.norm(X - np.array(self.center), axis=1) - self.radius
+            return _norms(X - np.array(self.center)) - self.radius
         lo, hi = self.bbox()
         return np.maximum(lo - X, X - hi).max(axis=1)
 
@@ -324,19 +324,19 @@ def _facet_geometry(verts):
     """(areas, centroids) of `extract`'s facets: segments (nv=2) in 2D, triangles (nv=3) in 3D."""
     centroids = verts.mean(axis=1)
     if verts.shape[1] == 2:
-        areas = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+        areas = _norms(verts[:, 1] - verts[:, 0])
     else:
         cross = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=-1)
+        areas = 0.5 * _norms(cross)
     return areas, centroids
 
 
 def _facet_diameters(verts):
     if verts.shape[1] == 2:
-        return np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-    a = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-    b = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
-    c = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=1)
+        return _norms(verts[:, 1] - verts[:, 0])
+    a = _norms(verts[:, 1] - verts[:, 0])
+    b = _norms(verts[:, 2] - verts[:, 1])
+    c = _norms(verts[:, 0] - verts[:, 2])
     return np.maximum(a, np.maximum(b, c))
 
 
@@ -405,7 +405,7 @@ def streamed_radial_sums(field, mesh, center, r_grid, h_min, weight_fns):
             cents = (part @ verts[f0:f0 + step]).reshape(-1, mesh.dimension)
             gradnorms = field.grad_norm(cents)
             flagged += int((gradnorms < floor).sum())  # none when floor is 0
-            idx = np.searchsorted(r_grid, np.linalg.norm(cents - center, axis=1), side="left")
+            idx = np.searchsorted(r_grid, _norms(cents - center), side="left")
             for s, a, fn in zip(sums, abs_sums, weight_fns):
                 # in place: no name keeps the weights alive, and |contrib| needs no second array
                 contrib = np.repeat(areas[f0:f0 + step], len(part))

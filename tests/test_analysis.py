@@ -17,6 +17,7 @@ from nodalab.fields import (
     make_box_eigenfunction,
     make_torus_eigenfunction,
 )
+from nodalab.harmonics import random_solid_harmonic, spherical_values
 from nodalab.levelset import Domain, LevelSetError
 from nodalab import analysis as an, levelset
 
@@ -356,6 +357,32 @@ class TestHomogeneousChecks:
         truth = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2) * (1 - eps**2) ** ((n - 1) / 2)
         z = np.abs(np.asarray(rep.values) - truth) / np.asarray(rep.errors)
         assert z.max() < 4.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spherical_functional_matches_indicator_matrix(self, n):
+        # the (samples x thresholds) indicator-matrix sums on the same samples, over an
+        # unsorted grid with a tie and a threshold above max p (an empty superlevel set)
+        P = random_solid_harmonic(n, 3, n)
+        eps = np.array([0.3, 0.05, 0.15, 0.05, 5.0, 0.1])
+        k = 3
+        gamma = (n + 2 * k - 2) / k
+
+        def run(rng, size):
+            p, g2 = spherical_values(P, levelset._sphere_points(rng, size, n))
+            g2 = np.maximum(g2, 0.0)
+            positive = p > 0
+            dens = np.zeros(size)
+            dens[positive] = (g2[positive] + k**2 * p[positive] ** 2) / p[positive] ** gamma
+            terms = dens[:, None] * (p[:, None] >= eps[None, :])
+            return terms.sum(axis=0), (terms**2).sum(axis=0)
+
+        n_samples = 200_000  # two chunks
+        mean, se = levelset._mean_and_se(levelset._map_chunks(run, n_samples, 5), n_samples)
+        scale = eps ** ((n + k - 2) / k) * levelset._sphere_area(n)
+        rep = an.spherical_monotonicity(P, eps, n_samples=n_samples, seed=5)
+        assert rep.values[1] == rep.values[3] > rep.values[0] > 0 and rep.values[4] == 0
+        assert np.allclose(rep.values, scale * mean, rtol=1e-12, atol=0)
+        assert np.allclose(rep.errors, scale * se, rtol=1e-12, atol=0)
 
     def test_robin_x3(self):
         rep = an.robin_identity_check(X3, 0.2, 0.4, h=0.02, quad_nodes=400_000)

@@ -190,6 +190,34 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--preset", "torus-sin", "--workers", "0"],
+        ["density", "--preset", "torus-sin", "--workers=-3"],
+        ["divergence", "--preset", "torus-sin", "--workers", "0"],
+        ["suite", "--workers", "0"],
+    ], ids=" ".join)
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
+        assert "bad worker count" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # the generators keep a seed's low 32 bits: these would repeat --seed 0
+        ["density", "--preset", "torus-sin", "--seed", "4294967296"],
+        ["density", "--preset", "torus-sin", "--seed=-4294967296"],
+        ["curvature", "--preset", "torus-sin", "--seed=-1"],
+        ["suite", "--seed", "4294967296"],
+    ], ids=" ".join)
+    def test_seed_outside_32_bits_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path), "--no-plot"]) == 2
+        assert "bad seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        argv = ["density", "--preset", "torus-sin", "--N", "1e4", "--bins", "16", "--seed", "4294967295"]
+        assert run_cli([*argv, "--workers", "1", "--out", str(tmp_path), "--no-plot"]) == 0
+        assert json.loads((tmp_path / "density.json").read_text())["config"]["seed"] == 2**32 - 1
+
     def test_passing_check_exits_zero(self, tmp_path):
         code = run_cli([
             "unimodal", "--preset", "torus-sin", "--measure", "mu",
@@ -365,7 +393,7 @@ class TestOutputs:
             reports.append(json.loads((tmp_path / out / "curvature.json").read_text())["identity"])
         assert reports[0] == reports[1]
 
-    def test_config_records_every_option_but_out_and_workers(self, tmp_path):
+    def test_config_records_every_option_but_out_and_workers(self, tmp_path, suite_run):
         # (argv, an option the command reads, two values of it): one input per command
         runs = [
             (["density", "--preset", "torus-sin", "--N", "1e4", "--bins", "16"], "seed", ("0", "1")),
@@ -380,8 +408,10 @@ class TestOutputs:
             (["sphere", "--preset", "p=x3", "--N", "1e4"], "egrid", ("0.2:0.8:0.3", "0.1:0.9:0.4")),
             (["robin", "--preset", "p=x3", "--N", "1e3", "--h", "0.05"], "t2", ("0.4", "0.5")),
             (["explore", "--preset", "harmonic-mix", "--rgrid", "0.2:1.0:0.4"], "h", ("0.1", "0.2")),
-            (["suite"], "seed", ("0", "1")),
+            (["suite"], "seed", ("42", "1")),
         ]
+        # runs made once for the module: `suite --seed 42 --no-plot`
+        made = {("suite", "42"): suite_run[0]}
         assert {argv[0] for argv, _, _ in runs} == set(cli.COMMANDS)
         for argv, option, values in runs:
             inputs = set() if argv[0] == "suite" else {"preset", "field"}
@@ -389,8 +419,10 @@ class TestOutputs:
             assert set(parsed) == {"command", *inputs, *OWN_OPTIONS[argv[0]], "out", "plot", "workers"}
             hashes = []
             for value in values:
-                out = tmp_path / argv[0] / value
-                run_cli([*argv, f"--{option}={value}", "--out", str(out), "--no-plot"])
+                out = made.get((argv[0], value))
+                if out is None:
+                    out = tmp_path / argv[0] / value
+                    run_cli([*argv, f"--{option}={value}", "--out", str(out), "--no-plot"])
                 expected = getattr(cli._build_parser().parse_args([argv[0], f"--{option}={value}"]), option)
                 docs = [json.loads(path.read_text()) for path in sorted(out.glob("*.json"))]
                 assert docs, argv

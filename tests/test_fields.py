@@ -21,7 +21,10 @@ from nodalab.fields import (
     SparsePolynomial,
     TrigEigenfunction,
     WeightedField,
+    _assemble,
+    _norms,
     _phasor,
+    _sq_norms,
     field_from_json,
     field_to_json,
     make_box_eigenfunction,
@@ -431,6 +434,62 @@ class TestJets:
         assert len(field.jet(pts, 0)) == 1
         with pytest.raises(FieldError):
             field.jet(pts, 3)
+
+
+def _gathered_jet(P, pts, order):
+    """A polynomial jet whose every partial gathers a (live terms x points)
+    array of power products from the table and sums c * row term by term."""
+    exps, coeffs = P._arrays()
+    table = np.ones((P.dimension, int(exps.max(initial=0)) + 1, len(pts)))
+    for k in range(1, table.shape[1]):
+        np.multiply(table[:, k - 1], pts.T, out=table[:, k])
+
+    def partial(alpha):
+        w = coeffs.copy()
+        for d, a in enumerate(alpha):
+            for j in range(a):
+                w *= exps[:, d] - j
+        live = np.flatnonzero(w)
+        low = np.maximum(exps[live] - alpha, 0)
+        prod = table[0, low[:, 0]]
+        for d in range(1, P.dimension):
+            prod *= table[d, low[:, d]]
+        out = np.zeros(len(pts))
+        for c, row in zip(w[live], prod):
+            out += c * row
+        return out
+
+    return _assemble(partial, P.dimension, order)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("size", [1, 7, (1 << 17) + 1])
+    def test_polynomial_jet_matches_gathered_power_products(self, n, size):
+        polys = [
+            random_solid_harmonic(n, 3, n),
+            SparsePolynomial.constant(n, Fraction(-7, 3)),
+            SparsePolynomial(n, {(2,) + (0,) * (n - 1): 1, (0,) * n: -1}),  # x^2 - 1
+            SparsePolynomial(n, {(3, 1) + (0,) * (n - 2): 0.7, (0, 0) + (2,) * (n - 2): Fraction(1, 3)}),
+        ]
+        pts = np.random.default_rng(size + n).uniform(-1.5, 1.5, size=(size, n))
+        for P in polys:
+            for order in (0, 1, 2):
+                got, want = P.jet(pts, order), _gathered_jet(P, pts, order)
+                assert len(got) == len(want) == order + 1
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (P, order)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("size", [0, 1, 7, (1 << 17) + 1])
+    def test_row_norms_have_numpy_bits(self, n, size):
+        rng = np.random.default_rng(size + n)
+        X = rng.standard_normal((size, n)) * 10.0 ** rng.integers(-150, 150, size=(size, n))
+        for rows in (X, X[::2], X[:, ::-1]):
+            assert np.array_equal(_sq_norms(rows), (rows**2).sum(axis=1))
+            assert np.array_equal(_norms(rows), np.linalg.norm(rows, axis=1))
+        if size:  # one point, as `grad_norm` gets it
+            assert _norms(X[0]) == np.linalg.norm(X[0])
 
 
 class TestJsonRoundTrip:
